@@ -1,0 +1,9 @@
+import os
+import sys
+from pathlib import Path
+
+# Same BLAS pin as the benchmark, set before numpy is imported.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))

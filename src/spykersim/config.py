@@ -58,7 +58,6 @@ class ExperimentConfig:
     sync_period: float | None = None  # sync-spyker; None -> hyper.h_intra
     cloud_period: int = 5
     selection_fraction: float = 1.0
-    shared_init: bool = True
     bandwidth_window_start_ms: float = 0.0
 
     # -- derived ------------------------------------------------------------
@@ -109,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError(f"client_counts sums to {sum(counts)}, expected {self.n_clients}")
         if len(self.server_locations) < self.n_servers:
             raise ConfigError("server_locations must cover every server")
+        if len(self.resolved_client_locations()) < self.n_clients:
+            raise ConfigError("client_locations must cover every client")
         for loc in tuple(self.server_locations) + self.resolved_client_locations():
             if loc not in LOCATIONS:
                 raise ConfigError(f"unknown location {loc!r}; known: {LOCATIONS}")
@@ -132,6 +133,8 @@ class ExperimentConfig:
             raise ConfigError("target_accuracy must be in (0, 1]")
         if self.eval_target not in ("age-weighted", "mean"):
             raise ConfigError(f"unknown eval_target {self.eval_target!r}")
+        if self.sync_period is not None and self.sync_period <= 0:
+            raise ConfigError("sync_period must be > 0")
         if self.cloud_period < 1:
             raise ConfigError("cloud_period must be >= 1")
         if not 0 < self.selection_fraction <= 1:

@@ -1,8 +1,7 @@
-"""Datasets: IDX loading, synthetic blobs, non-iid partitioning, caching.
+"""Datasets: IDX loading, synthetic blobs, non-iid partitioning, evaluation.
 
-Features are float32 throughout (matching the cache encoding, so cache
-round-trips are bitwise); labels are int64.  All generation and partitioning
-is pure given a seed.
+Features are float32 throughout; labels are int64.  All generation and
+partitioning is pure given a seed.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DataFormatError,
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
@@ -22,8 +20,6 @@ from .errors import (
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-
-CACHE_MAGIC = b"SPYKDS01"
 
 
 @dataclass(frozen=True)
@@ -265,73 +261,3 @@ def evaluate(model, test: Dataset) -> float:
     pred = models.predict(model, np.asarray(test.features, dtype=np.float64))
     return float(np.mean(pred == test.labels))
 
-
-def save_cache(data: Dataset, path: str) -> None:
-    """Serialize to the versioned cache layout: header, float32 features, int32 labels."""
-    name_bytes = data.name.encode("utf-8")
-    X = np.ascontiguousarray(data.features, dtype="<f4")
-    y = np.ascontiguousarray(data.labels, dtype="<i4")
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(
-            struct.pack(
-                "<IIII", data.n_samples, data.dim, data.n_classes, len(name_bytes)
-            )
-        )
-        f.write(name_bytes)
-        f.write(X.tobytes())
-        f.write(y.tobytes())
-
-
-def load_cache(path: str) -> Dataset:
-    with open(path, "rb") as f:
-        buf = f.read()
-    if len(buf) < len(CACHE_MAGIC) + 16:
-        raise DataFormatError(f"{path}: too short for a cache header")
-    if buf[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise DataFormatError(f"{path}: bad cache magic {buf[:8]!r}")
-    off = len(CACHE_MAGIC)
-    n, dim, n_classes, name_len = struct.unpack_from("<IIII", buf, off)
-    off += 16
-    name = buf[off : off + name_len].decode("utf-8")
-    off += name_len
-    need = n * dim * 4 + n * 4
-    if len(buf) - off < need:
-        raise DataFormatError(f"{path}: cache payload truncated")
-    X = np.frombuffer(buf, dtype="<f4", count=n * dim, offset=off).reshape(n, dim)
-    off += n * dim * 4
-    y = np.frombuffer(buf, dtype="<i4", count=n, offset=off).astype(np.int64)
-    return Dataset(X.astype(np.float32), y, int(n_classes), name)
-
-
-CIFAR_RECORD = 3073
-
-
-def load_cifar10(batch_paths: list[str]) -> Dataset:
-    """Read CIFAR-10 binary batches, downsampled to 16x16 grayscale in [0, 1].
-
-    Each record is 1 label byte followed by 3072 pixel bytes (three 32x32
-    channel planes).  Grayscale is the channel mean; downsampling averages
-    2x2 blocks, giving 256 features per image.
-    """
-    images = []
-    labels = []
-    for path in batch_paths:
-        with open(path, "rb") as f:
-            buf = f.read()
-        if len(buf) == 0 or len(buf) % CIFAR_RECORD != 0:
-            raise DataFormatError(
-                f"{path}: size {len(buf)} is not a multiple of {CIFAR_RECORD}"
-            )
-        rec = np.frombuffer(buf, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
-        y = rec[:, 0].astype(np.int64)
-        if y.max() > 9:
-            raise DataFormatError(f"{path}: label byte out of range [0, 10)")
-        planes = rec[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32)
-        gray = planes.mean(axis=1) / np.float32(255.0)
-        pooled = gray.reshape(-1, 16, 2, 16, 2).mean(axis=(2, 4))
-        images.append(pooled.reshape(-1, 256).astype(np.float32))
-        labels.append(y)
-    if not images:
-        raise DataFormatError("no CIFAR batch paths given")
-    return Dataset(np.concatenate(images), np.concatenate(labels), 10, name="cifar10-16x16")

@@ -87,19 +87,8 @@ def load_task(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     environment variable; when it is unset, a seeded synthetic stand-in with
     the same shape is used so runs never require a download.
     """
-    if cfg.dataset == "synthetic":
-        pool = synthetic_dataset(
-            derive_seed(cfg.seed, _DATA),
-            cfg.n_samples,
-            cfg.input_dim,
-            cfg.n_classes,
-            cfg.separation,
-            name="synthetic",
-        )
-        return train_test_split(pool, cfg.test_fraction, derive_seed(cfg.seed, _SPLIT))
-
     root = os.environ.get(DATA_ROOT_ENV)
-    if root:
+    if cfg.dataset == "mnist" and root:
         train = load_idx(os.path.join(root, MNIST_FILES[0]), os.path.join(root, MNIST_FILES[1]))
         test = load_idx(os.path.join(root, MNIST_FILES[2]), os.path.join(root, MNIST_FILES[3]))
         if train.dim != cfg.input_dim or train.n_classes < cfg.n_classes:
@@ -117,7 +106,7 @@ def load_task(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         cfg.input_dim,
         cfg.n_classes,
         cfg.separation,
-        name="image-surrogate",
+        name="synthetic" if cfg.dataset == "synthetic" else "image-surrogate",
     )
     return train_test_split(pool, cfg.test_fraction, derive_seed(cfg.seed, _SPLIT))
 
@@ -205,7 +194,6 @@ def build_experiment(cfg: ExperimentConfig) -> BuiltExperiment:
                 SpykerServer(
                     sid,
                     cfg.server_locations[sid],
-                    sid,
                     server_ids,
                     template,
                     successor[sid],
@@ -221,7 +209,6 @@ def build_experiment(cfg: ExperimentConfig) -> BuiltExperiment:
                 SyncSpykerServer(
                     sid,
                     cfg.server_locations[sid],
-                    sid,
                     server_ids,
                     template,
                     by_server[sid],

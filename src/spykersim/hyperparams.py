@@ -1,9 +1,8 @@
 """Learning and aggregation hyperparameters.
 
-Two bundles ship as presets: ``reference()`` carries the full-scale parameter
-table (initial client lr 0.5), while ``training_defaults()`` swaps in the lr
-actually used for training runs (0.05), which converges on the desk-scale
-tasks.  ``h_inter`` depends on the topology (n_clients / (5 *
+The defaults carry the client lr used for training runs (0.05), which
+converges on the desk-scale tasks; the presets in ``config`` override fields
+per task.  ``h_inter`` depends on the topology (n_clients / (5 *
 n_servers)) and is resolved at experiment-build time when left unset.
 """
 
@@ -40,6 +39,8 @@ class HyperParams:
             raise ConfigError("phi must be > 0")
         if not 0 < self.eta_a <= 1:
             raise ConfigError("eta_a must be in (0, 1]")
+        if not 0 < self.eta_server <= 1:
+            raise ConfigError("eta_server must be in (0, 1]")
         if self.h_inter is not None and self.h_inter <= 0:
             raise ConfigError("h_inter must be > 0")
         if self.h_intra <= 0:
@@ -64,12 +65,3 @@ class HyperParams:
         if self.base_schedule == "inv_sqrt":
             return self.eta_init / (1.0 + u_k) ** 0.5
         return self.eta_init
-
-
-def training_defaults() -> HyperParams:
-    return HyperParams()
-
-
-def reference() -> HyperParams:
-    """The full-scale parameter table (initial client lr 0.5)."""
-    return HyperParams(eta_init=0.5)

@@ -69,13 +69,14 @@ class FedAvgServer(Node):
     def service_ms(self, sim: Simulator, msg, src: int) -> float:
         # Collection is free; the round's single aggregation happens while
         # servicing the final missing update.
-        if len(self._pending) + 1 == len(self._selected):
+        if isinstance(msg, ClientUpdate) and len(self._pending) + 1 == len(self._selected):
             return self.agg_ms
         return 0.0
 
     def handle(self, sim: Simulator, src: int, msg) -> None:
         if not isinstance(msg, ClientUpdate):
-            raise ProtocolViolation(f"server cannot handle {type(msg).__name__}")
+            self._on_other(sim, src, msg)
+            return
         if src not in self.u:
             raise ProtocolViolation(f"update from unknown client {src}")
         if src in self._pending:
@@ -87,4 +88,12 @@ class FedAvgServer(Node):
             self.model = self.model.with_params(fedavg_aggregate(updates))
             self.updates_absorbed += len(updates)
             self.round += 1
-            self._dispatch_round(sim)
+            self._on_round_closed(sim)
+
+    # -- hooks for the hierarchical edge -------------------------------------
+
+    def _on_round_closed(self, sim: Simulator) -> None:
+        self._dispatch_round(sim)
+
+    def _on_other(self, sim: Simulator, src: int, msg) -> None:
+        raise ProtocolViolation(f"server cannot handle {type(msg).__name__}")

@@ -1,7 +1,7 @@
 """Two-level hierarchical averaging: edge servers plus a cloud aggregator.
 
-Edges run synchronous rounds over their own clients exactly like the flat
-averaging server.  Every `cloud_period` edge rounds they report their model
+Edges are flat averaging servers over their own clients with full
+participation.  Every `cloud_period` edge rounds they report their model
 (weighted by their clients' data) to the cloud and pause; the cloud
 averages all reports and redistributes, after which edges resume.
 """
@@ -12,14 +12,13 @@ import numpy as np
 
 from ..aggregation import fedavg_aggregate
 from ..errors import ProtocolViolation
-from ..messages import ClientUpdate, CloudModel, EdgeReport, ModelDispatch
+from ..messages import CloudModel, EdgeReport
 from ..models import TinyModel
 from ..simulation import SERVER, Node, Simulator
+from .fedavg import FedAvgServer
 
 
-class HierEdgeServer(Node):
-    kind = SERVER
-
+class HierEdgeServer(FedAvgServer):
     def __init__(
         self,
         node_id: int,
@@ -34,54 +33,22 @@ class HierEdgeServer(Node):
     ):
         if cloud_period < 1:
             raise ProtocolViolation("cloud_period must be >= 1")
-        self.node_id = node_id
-        self.location = location
-        self.model = model
-        self.client_ids = sorted(client_ids)
-        self.data_sizes = dict(client_data_sizes)
+        super().__init__(node_id, location, model, client_ids, client_data_sizes, lr, agg_ms)
         self.total_data = sum(self.data_sizes.values())
-        self.lr = lr
-        self.agg_ms = agg_ms
         self.cloud_id = cloud_id
         self.cloud_period = cloud_period
-        self.round = 0
-        self.updates_absorbed = 0
-        self.u = {cid: 0 for cid in self.client_ids}
-        self._pending: dict[int, np.ndarray] = {}
 
-    def _dispatch_round(self, sim: Simulator) -> None:
-        self._pending = {}
-        for cid in self.client_ids:
-            sim.send(self.node_id, cid, ModelDispatch(self.model.params, float(self.round), self.lr))
-
-    def bootstrap(self, sim: Simulator) -> None:
-        self._dispatch_round(sim)
-
-    def service_ms(self, sim: Simulator, msg, src: int) -> float:
-        if isinstance(msg, ClientUpdate) and len(self._pending) + 1 == len(self.client_ids):
-            return self.agg_ms
-        return 0.0
-
-    def handle(self, sim: Simulator, src: int, msg) -> None:
-        if isinstance(msg, CloudModel):
-            self.model = self.model.with_params(msg.params)
+    def _on_round_closed(self, sim: Simulator) -> None:
+        if self.round % self.cloud_period == 0:
+            sim.send(self.node_id, self.cloud_id, EdgeReport(self.model.params, self.total_data))
+        else:
             self._dispatch_round(sim)
-            return
-        if not isinstance(msg, ClientUpdate):
+
+    def _on_other(self, sim: Simulator, src: int, msg) -> None:
+        if not isinstance(msg, CloudModel):
             raise ProtocolViolation(f"edge server cannot handle {type(msg).__name__}")
-        if src not in self.u:
-            raise ProtocolViolation(f"update from unknown client {src}")
-        self._pending[src] = msg.params
-        self.u[src] += 1
-        if len(self._pending) == len(self.client_ids):
-            updates = [(self._pending[cid], self.data_sizes[cid]) for cid in self.client_ids]
-            self.model = self.model.with_params(fedavg_aggregate(updates))
-            self.updates_absorbed += len(updates)
-            self.round += 1
-            if self.round % self.cloud_period == 0:
-                sim.send(self.node_id, self.cloud_id, EdgeReport(self.model.params, self.total_data))
-            else:
-                self._dispatch_round(sim)
+        self.model = self.model.with_params(msg.params)
+        self._dispatch_round(sim)
 
 
 class HierCloud(Node):

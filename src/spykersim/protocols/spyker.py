@@ -19,7 +19,7 @@ from ..aggregation import (
     server_merge,
     spyker_client_merge,
 )
-from ..errors import ProtocolViolation
+from ..errors import NumericsError, ProtocolViolation
 from ..hyperparams import HyperParams
 from ..messages import (
     AgeBroadcast,
@@ -33,32 +33,37 @@ from ..models import TinyModel
 from ..simulation import SERVER, Node, Simulator
 
 
-class SpykerServer(Node):
+class SpykerBase(Node):
+    """The client side shared by both spyker variants.
+
+    Absorbs each client update with an age-weighted merge, bumps the age and
+    the client's update count, decays the client's learning rate and sends
+    the fresh model back.  Subclasses add the server-server exchange.
+    """
+
     kind = SERVER
 
     def __init__(
         self,
         node_id: int,
         location: str,
-        server_index: int,
         server_ids: list[int],
         model: TinyModel,
-        ring_successor: int,
         client_ids: list[int],
         hp: HyperParams,
         agg_ms: float,
-        token: Token | None = None,
     ):
-        if len(set(server_ids)) != len(server_ids):
-            raise ProtocolViolation(f"duplicate server ids {server_ids}")
+        if len(set(server_ids)) != len(server_ids) or node_id not in server_ids:
+            raise ProtocolViolation(
+                f"server {node_id} needs unique server ids including its own, got {server_ids}"
+            )
         self.node_id = node_id
         self.location = location
-        self.server_index = server_index
         self.server_ids = list(server_ids)
         self.n_servers = len(server_ids)
         self.index_of = {sid: i for i, sid in enumerate(server_ids)}
+        self.server_index = self.index_of[node_id]
         self.peer_ids = [sid for sid in server_ids if sid != node_id]
-        self.ring_successor = ring_successor
         self.hp = hp
         self.agg_ms = agg_ms
 
@@ -67,12 +72,59 @@ class SpykerServer(Node):
         self.age_prev = 0.0
         self.u = {cid: 0 for cid in client_ids}
         self.eta = {cid: hp.eta_init for cid in client_ids}
+        self.updates_absorbed = 0
+
+    def bootstrap(self, sim: Simulator) -> None:
+        for cid in sorted(self.u):
+            sim.send(self.node_id, cid, ModelDispatch(self.model.params, self.age, self.eta[cid]))
+
+    def _absorb(self, sim: Simulator, src: int, msg: ClientUpdate) -> None:
+        if src not in self.u:
+            raise ProtocolViolation(f"update from unknown client {src} at server {self.node_id}")
+        # Server-server merges can pull the age below an outstanding
+        # dispatch; treat such echoes as fresh rather than rejecting them.
+        age_sent = min(msg.age_sent, self.age)
+        w = client_staleness_weight(self.age, age_sent, self.hp.staleness_mode)
+        merged = spyker_client_merge(self.model.params, msg.params, w, self.hp.eta_server)
+        if not np.isfinite(merged).all():
+            raise NumericsError(
+                f"server {self.node_id} merged client {src} into a non-finite model: "
+                f"age gap {self.age - age_sent}, coefficient eta_server x weight = "
+                f"{self.hp.eta_server * w}"
+            )
+        self.model = self.model.with_params(merged)
+        self.age += 1.0
+        self.u[src] += 1
+        base = self.hp.base_lr(self.u[src])
+        if self.hp.decay_enabled:
+            u_mean = sum(self.u.values()) / len(self.u)
+            self.eta[src] = decay(base, self.u[src], u_mean, self.hp.beta, self.hp.eta_min)
+        else:
+            self.eta[src] = base
+        self.updates_absorbed += 1
+        sim.send(self.node_id, src, ModelDispatch(self.model.params, self.age, self.eta[src]))
+
+
+class SpykerServer(SpykerBase):
+    def __init__(
+        self,
+        node_id: int,
+        location: str,
+        server_ids: list[int],
+        model: TinyModel,
+        ring_successor: int,
+        client_ids: list[int],
+        hp: HyperParams,
+        agg_ms: float,
+        token: Token | None = None,
+    ):
+        super().__init__(node_id, location, server_ids, model, client_ids, hp, agg_ms)
+        self.ring_successor = ring_successor
         self.known_ages = np.zeros(self.n_servers)
         self.token = token
         self.did_broadcast: set[int] = set()
         self.cnt: dict[int, int] = {}
         self.ongoing_synchro = False
-        self.updates_absorbed = 0
         self._last_age_broadcast: float | None = None
 
     # -- engine hooks -------------------------------------------------------
@@ -83,13 +135,10 @@ class SpykerServer(Node):
     def service_ms(self, sim: Simulator, msg, src: int) -> float:
         return self.agg_ms
 
-    def bootstrap(self, sim: Simulator) -> None:
-        for cid in sorted(self.u):
-            sim.send(self.node_id, cid, ModelDispatch(self.model.params, self.age, self.eta[cid]))
-
     def handle(self, sim: Simulator, src: int, msg) -> None:
         if isinstance(msg, ClientUpdate):
-            self._on_client_update(sim, src, msg)
+            self._absorb(sim, src, msg)
+            self._check_synchronization(sim)
         elif isinstance(msg, ModelBroadcast):
             self._on_model_broadcast(sim, src, msg)
         elif isinstance(msg, AgeBroadcast):
@@ -105,28 +154,6 @@ class SpykerServer(Node):
         ages = self.known_ages.copy()
         ages[self.server_index] = self.age
         return ages
-
-    def _on_client_update(self, sim: Simulator, src: int, msg: ClientUpdate) -> None:
-        if src not in self.u:
-            raise ProtocolViolation(f"update from unknown client {src} at server {self.node_id}")
-        # Server-server merges can pull the age below an outstanding
-        # dispatch; treat such echoes as fresh rather than rejecting them.
-        age_sent = min(msg.age_sent, self.age)
-        w = client_staleness_weight(self.age, age_sent, self.hp.staleness_mode)
-        self.model = self.model.with_params(
-            spyker_client_merge(self.model.params, msg.params, w, self.hp.eta_server)
-        )
-        self.age += 1.0
-        self.u[src] += 1
-        base = self.hp.base_lr(self.u[src])
-        if self.hp.decay_enabled:
-            u_mean = sum(self.u.values()) / len(self.u)
-            self.eta[src] = decay(base, self.u[src], u_mean, self.hp.beta, self.hp.eta_min)
-        else:
-            self.eta[src] = base
-        self.updates_absorbed += 1
-        sim.send(self.node_id, src, ModelDispatch(self.model.params, self.age, self.eta[src]))
-        self._check_synchronization(sim)
 
     def _check_synchronization(self, sim: Simulator) -> None:
         ages = self.effective_ages()

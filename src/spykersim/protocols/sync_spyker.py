@@ -11,22 +11,20 @@ updates in arrival order.
 
 from __future__ import annotations
 
-from ..aggregation import client_staleness_weight, decay, server_merge, spyker_client_merge
+from ..aggregation import server_merge
 from ..errors import ProtocolViolation
 from ..hyperparams import HyperParams
-from ..messages import ClientUpdate, ModelBroadcast, ModelDispatch, ReplayedUpdate
+from ..messages import ClientUpdate, ModelBroadcast, ReplayedUpdate
 from ..models import TinyModel
-from ..simulation import SERVER, Node, Simulator
+from ..simulation import Simulator
+from .spyker import SpykerBase
 
 
-class SyncSpykerServer(Node):
-    kind = SERVER
-
+class SyncSpykerServer(SpykerBase):
     def __init__(
         self,
         node_id: int,
         location: str,
-        server_index: int,
         server_ids: list[int],
         model: TinyModel,
         client_ids: list[int],
@@ -34,23 +32,8 @@ class SyncSpykerServer(Node):
         agg_ms: float,
         sync_period: float,
     ):
-        self.node_id = node_id
-        self.location = location
-        self.server_index = server_index
-        self.server_ids = list(server_ids)
-        self.n_servers = len(server_ids)
-        self.index_of = {sid: i for i, sid in enumerate(server_ids)}
-        self.peer_ids = [sid for sid in server_ids if sid != node_id]
-        self.hp = hp
-        self.agg_ms = agg_ms
+        super().__init__(node_id, location, server_ids, model, client_ids, hp, agg_ms)
         self.sync_period = sync_period
-
-        self.model = model
-        self.age = 0.0
-        self.age_prev = 0.0
-        self.u = {cid: 0 for cid in client_ids}
-        self.eta = {cid: hp.eta_init for cid in client_ids}
-        self.updates_absorbed = 0
         self.syncs_completed = 0
         self.syncing = False
         self._broadcast_round = 0
@@ -73,50 +56,27 @@ class SyncSpykerServer(Node):
             return 0.0
         return 0.0
 
-    def bootstrap(self, sim: Simulator) -> None:
-        for cid in sorted(self.u):
-            sim.send(self.node_id, cid, ModelDispatch(self.model.params, self.age, self.eta[cid]))
-
     def handle(self, sim: Simulator, src: int, msg) -> None:
-        if isinstance(msg, ClientUpdate):
+        if isinstance(msg, (ClientUpdate, ReplayedUpdate)):
+            replayed = isinstance(msg, ReplayedUpdate)
+            if replayed:
+                src, msg = msg.orig_src, msg.inner
             if self.syncing:
                 self._buffer.append((src, msg))
-                self.buffered_total += 1
-            else:
-                self._absorb(sim, src, msg)
-        elif isinstance(msg, ReplayedUpdate):
-            if self.syncing:
-                self._buffer.append((msg.orig_src, msg.inner))
-            else:
+                if not replayed:
+                    self.buffered_total += 1
+                return
+            if replayed:
                 self.replayed_total += 1
-                self._absorb(sim, msg.orig_src, msg.inner)
+            self._absorb(sim, src, msg)
+            if self.age - self.age_prev >= self.sync_period:
+                self._start_sync(sim)
         elif isinstance(msg, ModelBroadcast):
             self._on_peer_model(sim, src, msg)
         else:
             raise ProtocolViolation(f"server cannot handle {type(msg).__name__}")
 
     # -- state transitions ---------------------------------------------------
-
-    def _absorb(self, sim: Simulator, src: int, msg: ClientUpdate) -> None:
-        if src not in self.u:
-            raise ProtocolViolation(f"update from unknown client {src} at server {self.node_id}")
-        age_sent = min(msg.age_sent, self.age)
-        w = client_staleness_weight(self.age, age_sent, self.hp.staleness_mode)
-        self.model = self.model.with_params(
-            spyker_client_merge(self.model.params, msg.params, w, self.hp.eta_server)
-        )
-        self.age += 1.0
-        self.u[src] += 1
-        base = self.hp.base_lr(self.u[src])
-        if self.hp.decay_enabled:
-            u_mean = sum(self.u.values()) / len(self.u)
-            self.eta[src] = decay(base, self.u[src], u_mean, self.hp.beta, self.hp.eta_min)
-        else:
-            self.eta[src] = base
-        self.updates_absorbed += 1
-        sim.send(self.node_id, src, ModelDispatch(self.model.params, self.age, self.eta[src]))
-        if not self.syncing and self.age - self.age_prev >= self.sync_period:
-            self._start_sync(sim)
 
     def _start_sync(self, sim: Simulator) -> None:
         r = self.syncs_completed + 1

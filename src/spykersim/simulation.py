@@ -161,7 +161,7 @@ class EventRecord:
 class Simulator:
     """Single-threaded deterministic event loop over a set of nodes."""
 
-    def __init__(self, link: LinkModel, on_event=None, hash_trace: bool = True):
+    def __init__(self, link: LinkModel, on_event=None):
         self.link = link
         self.on_event = on_event
         self.nodes: dict[int, Node] = {}
@@ -175,8 +175,7 @@ class Simulator:
         self._queues: dict[int, deque] = {}
         self._busy: dict[int, bool] = {}
         self._pending_real = 0
-        self._stop_requested = False
-        self._hasher = hashlib.sha256() if hash_trace else None
+        self._hasher = hashlib.sha256()
 
     # -- topology ---------------------------------------------------------
 
@@ -225,13 +224,7 @@ class Simulator:
         """Messages waiting at a node, excluding the one in service."""
         return len(self._queues[node_id])
 
-    def request_stop(self, reason: str = "requested") -> None:
-        self._stop_requested = True
-        self.stop_reason = reason
-
     def trace_hash(self) -> str:
-        if self._hasher is None:
-            return ""
         return self._hasher.hexdigest()
 
     # -- event loop -------------------------------------------------------
@@ -249,14 +242,14 @@ class Simulator:
         horizon_ms: float | None = None,
         eval_interval_ms: float | None = None,
         eval_hook=None,
-        max_events: int | None = None,
     ) -> None:
         if eval_interval_ms is not None and eval_interval_ms <= 0:
             raise ConfigError("eval interval must be positive")
         if eval_interval_ms and self._pending_real > 0:
             self._push(eval_interval_ms, EVAL, None)
 
-        while self._heap and not self._stop_requested:
+        stopped = False
+        while self._heap and not stopped:
             if horizon_ms is not None and self._heap[0][0] > horizon_ms:
                 self.now = horizon_ms
                 self.stop_reason = "horizon"
@@ -268,10 +261,9 @@ class Simulator:
 
             if kind == EVAL:
                 record = EventRecord(time, seq, EVAL, -1, -1, "eval")
-                stop = bool(eval_hook(self)) if eval_hook else False
-                if stop:
+                if eval_hook is not None and eval_hook(self):
                     self.stop_reason = "target"
-                    self._stop_requested = True
+                    stopped = True
                 elif self._pending_real > 0:
                     self._push(time + eval_interval_ms, EVAL, None)
             elif kind == DELIVER:
@@ -297,11 +289,7 @@ class Simulator:
                     self._busy[dst] = False
 
             self.events_processed += 1
-            if self._hasher is not None:
-                self._hasher.update(record.line().encode())
-                self._hasher.update(b"\n")
+            self._hasher.update(record.line().encode())
+            self._hasher.update(b"\n")
             if self.on_event is not None:
                 self.on_event(self, record)
-            if max_events is not None and self.events_processed >= max_events:
-                self.stop_reason = "max-events"
-                break

@@ -12,19 +12,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import SINGLE_SERVER, ExperimentConfig
 from .experiment import RunResult, run_experiment, time_to_accuracy, updates_to_accuracy
-
-MULTI_SERVER = ("spyker", "sync-spyker", "hierfavg")
 
 
 def variant(cfg: ExperimentConfig, algorithm: str, n_clients: int | None = None) -> ExperimentConfig:
     """The base config re-targeted at another algorithm and client count."""
-    multi = algorithm in MULTI_SERVER
     out = replace(
         cfg,
         algorithm=algorithm,
-        n_servers=cfg.n_servers if multi else 1,
+        n_servers=1 if algorithm in SINGLE_SERVER else cfg.n_servers,
         n_clients=n_clients if n_clients is not None else cfg.n_clients,
         client_counts=None,
         client_locations=None,

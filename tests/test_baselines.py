@@ -158,8 +158,13 @@ def test_fedavg_full_participation_keeps_counts_even():
     assert server.round >= 3
 
 
-def test_fedavg_duplicate_update_rejected():
-    sim, server, clients, _, _, _ = build_fedavg(n_clients=3)
+@pytest.mark.parametrize("kind", ["fedavg", "hier-edge"])
+def test_fedavg_duplicate_update_rejected(kind):
+    if kind == "fedavg":
+        sim, server, clients, _, _, _ = build_fedavg(n_clients=3)
+    else:
+        sim, edges, _, clients, _, _, _ = build_hier(n_edges=1, clients_per=3)
+        server = edges[0]
     upd = ClientUpdate(server.model.params, 0.0)
     server.handle(sim, clients[0].node_id, upd)
     with pytest.raises(ProtocolViolation):

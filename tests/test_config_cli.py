@@ -73,6 +73,9 @@ def test_validation_rules():
         {"eval_target": "median"},
         {"target_accuracy": 1.5},
         {"hyper": {"h_intra": -1.0}},
+        {"hyper": {"eta_server": 5.0}},
+        {"n_clients": 8, "client_locations": ["Paris"] * 7},
+        {"algorithm": "sync-spyker", "sync_period": -1},
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
@@ -158,20 +161,24 @@ def test_cli_config_file_plus_override(tmp_path):
     assert read_summary(str(out / "summary.json"))["algorithm"] == "fedasync"
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["--help"]) == 0
     assert main(["warp-drive"]) == 1  # unknown subcommand is a usage error
     assert main(["run", "--override", "warp=9", "--out-dir", str(tmp_path)]) == 1
     assert main(["run", "--config", str(tmp_path / "none.yaml")]) == 1
     (tmp_path / "broken.yaml").write_text("a: [b\n")
     assert main(["run", "--config", str(tmp_path / "broken.yaml")]) == 1
+    assert main(["run", "--out-dir", str(tmp_path / "r"), *TINY,
+                 "--override", "hyper.eta_server=5.0"]) == 1
     capsys.readouterr()
-    # An out-of-range server rate passes config checks but trips the
-    # numerical guard during the first aggregation.
-    code = main(["run", "--out-dir", str(tmp_path / "r"), *TINY,
-                 "--override", "hyper.eta_server=5.0"])
+    # A data root without the IDX files passes config checks but fails
+    # when the task is loaded.
+    empty = tmp_path / "no-data"
+    empty.mkdir()
+    monkeypatch.setenv("SPYKERSIM_DATA", str(empty))
+    code = main(["run", "--out-dir", str(tmp_path / "r"), *TINY, "--override", "dataset=mnist"])
     assert code == 2
-    assert "runtime error" in capsys.readouterr().err
+    assert "runtime error: FileNotFoundError" in capsys.readouterr().err
 
 
 def test_cli_histogram(tmp_path):

@@ -1,4 +1,4 @@
-"""Dataset loading, synthesis, partitioning, caching."""
+"""Dataset loading, synthesis, partitioning, evaluation."""
 
 import struct
 
@@ -11,7 +11,6 @@ from spykersim import data as dt
 from spykersim import models
 from spykersim.errors import (
     ConfigError,
-    DataFormatError,
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
@@ -223,77 +222,12 @@ class TestEvaluate:
         assert dt.evaluate(m, ds) == 1.0
 
 
-class TestCache:
-    def test_roundtrip_bitwise(self, tmp_path):
-        ds = dt.synthetic_dataset(9, 150, 5, 4, 2.5)
-        path = str(tmp_path / "ds.cache")
-        dt.save_cache(ds, path)
-        back = dt.load_cache(path)
-        assert back.features.tobytes() == ds.features.tobytes()
-        np.testing.assert_array_equal(back.labels, ds.labels)
-        assert back.n_classes == ds.n_classes and back.name == ds.name
-
-    def test_idx_loaded_roundtrip_bitwise(self, tmp_path):
-        img, lab, _, _ = fake_idx_pair(tmp_path)
-        ds = dt.load_idx(img, lab)
-        path = str(tmp_path / "idx.cache")
-        dt.save_cache(ds, path)
-        back = dt.load_cache(path)
-        assert back.features.tobytes() == ds.features.tobytes()
-        np.testing.assert_array_equal(back.labels, ds.labels)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "bad.cache"
-        p.write_bytes(b"NOTCACHE" + bytes(64))
-        with pytest.raises(DataFormatError):
-            dt.load_cache(str(p))
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        ds = dt.synthetic_dataset(9, 50, 3, 2, 2.5)
-        path = tmp_path / "cut.cache"
-        dt.save_cache(ds, str(path))
-        path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(DataFormatError):
-            dt.load_cache(str(path))
-
-
-class TestCifar:
-    def fake_batch(self, tmp_path, n=12, seed=0):
-        rng = np.random.default_rng(seed)
-        recs = []
-        labels = rng.integers(0, 10, size=n, dtype=np.uint8)
-        for i in range(n):
-            recs.append(bytes([labels[i]]) + rng.integers(0, 256, 3072, dtype=np.uint8).tobytes())
-        p = tmp_path / "data_batch_1.bin"
-        p.write_bytes(b"".join(recs))
-        return str(p), labels
-
-    def test_shapes_and_range(self, tmp_path):
-        p, labels = self.fake_batch(tmp_path)
-        ds = dt.load_cifar10([p])
-        assert ds.features.shape == (12, 256)
-        np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
-        assert 0.0 <= ds.features.min() and ds.features.max() <= 1.0
-
-    def test_pooling_of_constant_image(self, tmp_path):
-        rec = bytes([3]) + bytes([60]) * 3072
-        p = tmp_path / "one.bin"
-        p.write_bytes(rec)
-        ds = dt.load_cifar10([str(p)])
-        np.testing.assert_allclose(ds.features, 60.0 / 255.0, atol=1e-6)
-
-    def test_bad_size_rejected(self, tmp_path):
-        p = tmp_path / "bad.bin"
-        p.write_bytes(bytes(3072))
-        with pytest.raises(DataFormatError):
-            dt.load_cifar10([str(p)])
-
-    def test_dataset_invariants(self):
-        with pytest.raises(ValueError):
-            dt.Dataset(np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.int64), 2)
-        with pytest.raises(ValueError):
-            dt.Dataset(
-                np.full((2, 3), np.nan, dtype=np.float32), np.zeros(2, dtype=np.int64), 2
-            )
-        with pytest.raises(ValueError):
-            dt.Dataset(np.zeros((2, 3), dtype=np.float32), np.array([0, 5]), 2)
+def test_dataset_invariants():
+    with pytest.raises(ValueError):
+        dt.Dataset(np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.int64), 2)
+    with pytest.raises(ValueError):
+        dt.Dataset(
+            np.full((2, 3), np.nan, dtype=np.float32), np.zeros(2, dtype=np.int64), 2
+        )
+    with pytest.raises(ValueError):
+        dt.Dataset(np.zeros((2, 3), dtype=np.float32), np.array([0, 5]), 2)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from spykersim.data import PartitionSpec, evaluate, partition_noniid, synthetic_dataset, train_test_split
-from spykersim.errors import ProtocolViolation
+from spykersim.errors import NumericsError, ProtocolViolation
 from spykersim.hyperparams import HyperParams
-from spykersim.messages import AgeBroadcast, ModelDispatch, Token, TokenPass
+from spykersim.messages import AgeBroadcast, ClientUpdate, ModelDispatch, Token, TokenPass
 from spykersim.models import LOGREG, init_model
 from spykersim.protocols import SpykerServer, SyncSpykerServer, TrainingClient
 from spykersim.simulation import (
@@ -51,13 +51,11 @@ def build(
         loc = LOCATIONS[s % len(LOCATIONS)]
         if variant == "spyker":
             node = SpykerServer(
-                s, loc, s, server_ids, template, (s + 1) % n_servers, cids, hp, agg_ms,
+                s, loc, server_ids, template, (s + 1) % n_servers, cids, hp, agg_ms,
                 token=Token(0, (0.0,) * n_servers) if s == 0 else None,
             )
         else:
-            node = SyncSpykerServer(
-                s, loc, s, server_ids, template, cids, hp, agg_ms, sync_period
-            )
+            node = SyncSpykerServer(s, loc, server_ids, template, cids, hp, agg_ms, sync_period)
         sim.add_node(node)
         servers.append(node)
 
@@ -214,10 +212,23 @@ def test_unknown_client_update_rejected():
     s = servers[0]
     foreign = clients[-1]
     assert foreign.home_server != s.node_id
-    from spykersim.messages import ClientUpdate
-
     with pytest.raises(ProtocolViolation):
         s.handle(sim, foreign.node_id, ClientUpdate(s.model.params, 0.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("variant", ["spyker", "sync"])
+def test_non_finite_merge_names_its_cause(variant):
+    hp = HyperParams(h_inter=1e6, h_intra=1e6, staleness_mode="literal", eta_server=1.0)
+    sim, servers, clients, _ = build(hp=hp, variant=variant, sync_period=1e6)
+    s = servers[0]
+    s.age = 3.0
+    huge = np.full(s.model.dim, 1e308)
+    with pytest.raises(NumericsError) as err:
+        s.handle(sim, clients[0].node_id, ClientUpdate(huge, 0.0))
+    msg = str(err.value)
+    for part in (f"server {s.node_id}", f"client {clients[0].node_id}", "age gap 3.0", "= 3.0"):
+        assert part in msg
 
 
 def test_dispatches_come_only_from_home_server():

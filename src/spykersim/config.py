@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -58,7 +59,6 @@ class ExperimentConfig:
     sync_period: float | None = None  # sync-spyker; None -> hyper.h_intra
     cloud_period: int = 5
     selection_fraction: float = 1.0
-    bandwidth_window_start_ms: float = 0.0
 
     # -- derived ------------------------------------------------------------
 
@@ -139,8 +139,6 @@ class ExperimentConfig:
             raise ConfigError("cloud_period must be >= 1")
         if not 0 < self.selection_fraction <= 1:
             raise ConfigError("selection_fraction must be in (0, 1]")
-        if self.bandwidth_window_start_ms < 0:
-            raise ConfigError("bandwidth_window_start_ms must be >= 0")
         self.hyper.validate()
         return self
 
@@ -214,16 +212,39 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def _coerce_nested(d: dict) -> dict:
-    out = dict(d)
-    if isinstance(out.get("hyper"), dict):
-        out["hyper"] = HyperParams(**out["hyper"])
-    if isinstance(out.get("compute"), dict):
-        out["compute"] = ComputeProfile(**out["compute"])
-    for key in ("client_counts", "server_locations", "client_locations"):
-        if isinstance(out.get(key), list):
-            out[key] = tuple(out[key])
-    return out
+def _typed(hint, value, name: str):
+    """``value`` checked against ``hint``, the declared type of field ``name``.
+
+    Every config value passes through here once: an int given for a float
+    field becomes a float, a list becomes a tuple, and a mapping given for a
+    nested bundle builds that bundle.
+    """
+    args = get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(_typed(args[0], v, name) for v in value)
+    elif is_dataclass(hint) and isinstance(value, dict):
+        return _build(hint, value, f"{name}.")
+    elif hint is float and type(value) is int:
+        return float(value)
+    elif isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+        return value
+    label = str(hint) if get_origin(hint) else hint.__name__
+    raise ConfigError(f"{name} must be {label}, got {value!r}")
+
+
+def _build(cls, raw: dict, prefix: str = ""):
+    """An instance of the config dataclass ``cls`` from a mapping of its fields."""
+    hints = get_type_hints(cls)
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown config field(s): {sorted(prefix + k for k in unknown)}")
+    return cls(**{k: _typed(hints[k], v, prefix + k) for k, v in raw.items()})
 
 
 def from_dict(raw: dict) -> ExperimentConfig:
@@ -245,15 +266,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
                 raw[key] = base
     merged.update(raw)
     merged["preset"] = preset_name
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(merged) - known
-    if unknown:
-        raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-    try:
-        cfg = ExperimentConfig(**_coerce_nested(merged))
-    except TypeError as e:
-        raise ConfigError(str(e)) from None
-    return cfg.validate()
+    return _build(ExperimentConfig, merged).validate()
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -269,6 +282,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
     """Apply repeatable `key=value` pairs; nested fields use dots."""
+    raw = to_dict(cfg)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like key=value")
@@ -278,21 +292,23 @@ def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentCo
             value = yaml.safe_load(raw_value)
         except yaml.YAMLError:
             value = raw_value
+        if key == "preset":
+            # A preset fills fields under the explicit ones, so relabelling a
+            # built config would leave the old preset's fields in place.
+            raise ConfigError("preset cannot be overridden; set it in the --config file")
+        if key in ("hyper", "compute"):
+            raise ConfigError(f"override {key} one field at a time, as {key}.<field>=value")
         parts = key.split(".")
-        if len(parts) == 1:
-            if parts[0] not in {f.name for f in fields(ExperimentConfig)}:
-                raise ConfigError(f"unknown config field {parts[0]!r}")
-            if isinstance(value, list):
-                value = tuple(value)
-            cfg = replace(cfg, **{parts[0]: value})
-        elif len(parts) == 2 and parts[0] in ("hyper", "compute"):
-            bundle = getattr(cfg, parts[0])
-            if parts[1] not in {f.name for f in fields(bundle)}:
-                raise ConfigError(f"unknown {parts[0]} field {parts[1]!r}")
-            cfg = replace(cfg, **{parts[0]: replace(bundle, **{parts[1]: value})})
+        if len(parts) == 2 and parts[0] in ("hyper", "compute"):
+            target = raw[parts[0]]
+        elif len(parts) == 1:
+            target = raw
         else:
             raise ConfigError(f"cannot apply override path {key!r}")
-    return cfg.validate()
+        if parts[-1] not in target:
+            raise ConfigError(f"unknown config field {key!r}")
+        target[parts[-1]] = value
+    return _build(ExperimentConfig, raw).validate()
 
 
 def to_dict(cfg: ExperimentConfig) -> dict:

@@ -53,8 +53,6 @@ from .simulation import (
 _DATA, _SPLIT, _PARTITION, _MODEL, _RING, _SELECT = 11, 12, 13, 14, 15, 16
 _CLIENT_SHUFFLE, _CLIENT_DELAY, _SUBSAMPLE = 17, 18, 19
 
-THRESHOLDS = (0.85, 0.90, 0.95)
-
 MNIST_FILES = (
     "train-images-idx3-ubyte",
     "train-labels-idx1-ubyte",
@@ -315,8 +313,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     built = build_experiment(cfg)
     sim = built.sim
     rows: list[dict] = []
-    first_time: dict[float, float] = {}
-    first_updates: dict[float, int] = {}
 
     def snapshot(sim: Simulator) -> bool:
         acc = evaluate(built.eval_model(), built.test)
@@ -327,10 +323,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         for s in built.servers:
             row[f"queue_{s.node_id}"] = sim.queue_length(s.node_id)
         rows.append(row)
-        for th in THRESHOLDS:
-            if acc >= th and th not in first_time:
-                first_time[th] = sim.now
-                first_updates[th] = updates
         if cfg.target_accuracy is not None and acc >= cfg.target_accuracy:
             return True
         if cfg.max_updates is not None and updates >= cfg.max_updates:
@@ -363,12 +355,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         "reached_target": bool(
             cfg.target_accuracy is not None and max(accs) >= cfg.target_accuracy
         ),
-        "time_to_85_ms": first_time.get(0.85),
-        "time_to_90_ms": first_time.get(0.90),
-        "time_to_95_ms": first_time.get(0.95),
-        "updates_to_85": first_updates.get(0.85),
-        "updates_to_90": first_updates.get(0.90),
-        "updates_to_95": first_updates.get(0.95),
+        "time_to_85_ms": time_to_accuracy(rows, 0.85),
+        "time_to_90_ms": time_to_accuracy(rows, 0.90),
+        "time_to_95_ms": time_to_accuracy(rows, 0.95),
+        "updates_to_85": updates_to_accuracy(rows, 0.85),
+        "updates_to_90": updates_to_accuracy(rows, 0.90),
+        "updates_to_95": updates_to_accuracy(rows, 0.95),
         "bytes_by_class": dict(sim.bytes_by_class),
         "total_bytes": sim.total_bytes,
         "client_updates": {str(k): v for k, v in sorted(built.client_update_counts().items())},

@@ -27,7 +27,6 @@ class HyperParams:
     local_epochs: int = 1       # epochs per client training pass (T_k)
     batch_size: int = 32
     staleness_mode: str = "dampened"   # "dampened" -> 1/(1+gap), "literal" -> gap
-    base_schedule: str = "constant"    # "constant" or "inv_sqrt"
     decay_enabled: bool = True
 
     def validate(self) -> None:
@@ -51,17 +50,9 @@ class HyperParams:
             raise ConfigError("batch_size must be >= 1")
         if self.staleness_mode not in ("dampened", "literal"):
             raise ConfigError(f"unknown staleness_mode {self.staleness_mode!r}")
-        if self.base_schedule not in ("constant", "inv_sqrt"):
-            raise ConfigError(f"unknown base_schedule {self.base_schedule!r}")
 
     def resolve_h_inter(self, n_clients: int, n_servers: int) -> "HyperParams":
         """Fill in the topology-dependent default h_inter = n_C / (5 n)."""
         if self.h_inter is not None:
             return self
         return replace(self, h_inter=n_clients / (5.0 * n_servers))
-
-    def base_lr(self, u_k: int) -> float:
-        """Pre-decay learning rate after u_k updates from a client."""
-        if self.base_schedule == "inv_sqrt":
-            return self.eta_init / (1.0 + u_k) ** 0.5
-        return self.eta_init

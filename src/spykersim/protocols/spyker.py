@@ -95,12 +95,10 @@ class SpykerBase(Node):
         self.model = self.model.with_params(merged)
         self.age += 1.0
         self.u[src] += 1
-        base = self.hp.base_lr(self.u[src])
+        self.eta[src] = self.hp.eta_init
         if self.hp.decay_enabled:
             u_mean = sum(self.u.values()) / len(self.u)
-            self.eta[src] = decay(base, self.u[src], u_mean, self.hp.beta, self.hp.eta_min)
-        else:
-            self.eta[src] = base
+            self.eta[src] = decay(self.eta[src], self.u[src], u_mean, self.hp.beta, self.hp.eta_min)
         self.updates_absorbed += 1
         sim.send(self.node_id, src, ModelDispatch(self.model.params, self.age, self.eta[src]))
 

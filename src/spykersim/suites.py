@@ -1,14 +1,17 @@
-"""Prebuilt experiment batteries: scalability, queueing, fairness, bandwidth, decay.
+"""Prebuilt experiment batteries: latency, scalability, queues, fairness, bandwidth, decay.
 
 Each function takes one base config, derives the per-run variants from it,
 and returns a JSON-ready dict.  When out_dir is given, every underlying run
 also writes its standard artifacts into a subdirectory.
+``median_over_seeds`` reduces one battery's results over several seeds.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import replace
+from statistics import median
 
 import numpy as np
 
@@ -35,6 +38,19 @@ def _run(cfg: ExperimentConfig, out_dir: str | None, name: str) -> RunResult:
 
 
 UNREACHED = "unreached"
+
+
+def latency_comparison(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
+    """Time to the target accuracy for spyker and fedasync under both latency maps."""
+    target = cfg.target_accuracy or 0.9
+    out: dict = {"target_accuracy": target}
+    for latency in ("aws4", "uniform"):
+        out[latency] = {}
+        for alg in ("spyker", "fedasync"):
+            run_cfg = variant(replace(cfg, latency=latency, target_accuracy=target), alg)
+            res = _run(run_cfg, out_dir, f"{alg}-{latency}")
+            out[latency][alg] = time_to_accuracy(res.rows, target)
+    return out
 
 
 def scalability_suite(
@@ -148,8 +164,8 @@ def bandwidth_report(
     algorithms: tuple[str, ...] = ("spyker", "sync-spyker", "fedavg", "fedasync", "hierfavg"),
     out_dir: str | None = None,
 ) -> dict:
-    """Bytes on the wire per algorithm over a fixed observation window."""
-    start = cfg.bandwidth_window_start_ms
+    """Bytes on the wire per algorithm over the window [0, window_ms]."""
+    start = 0.0
     end = start + window_ms
     out: dict = {"window_start_ms": start, "window_end_ms": end}
 
@@ -193,3 +209,32 @@ def decay_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             "update_cv": float(counts.std() / mean) if mean > 0 else 0.0,
         }
     return out
+
+
+_DROPPED = object()
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def median_over_seeds(results: list[dict]):
+    """One battery's per-seed results reduced leaf by leaf.
+
+    A leaf every seed agrees on is kept.  Otherwise a numeric leaf becomes
+    the median over seeds, with None and "unreached" counted as +inf, and an
+    infinite median is written back as that marker, so the result stays
+    strict JSON; any other leaf (a string, a boolean, a list) is dropped.
+    Mappings are reduced key by key.
+    """
+    first = results[0]
+    if all(isinstance(r, dict) for r in results):
+        reduced = {k: median_over_seeds([r[k] for r in results])
+                   for k in first if all(k in r for r in results)}
+        return {k: v for k, v in reduced.items() if v is not _DROPPED}
+    if all(r == first for r in results):
+        return first
+    if all(_is_number(r) or r is None or r == UNREACHED for r in results):
+        m = median(r if _is_number(r) else math.inf for r in results)
+        return m if m != math.inf else next(r for r in results if not _is_number(r))
+    return _DROPPED

@@ -15,6 +15,7 @@ from spykersim.cli import main
 from spykersim.errors import ConfigError
 from spykersim.experiment import read_summary
 from spykersim.simulation import RunManifest
+from spykersim.suites import median_over_seeds
 
 TINY = [
     "--override", "n_clients=8",
@@ -76,6 +77,10 @@ def test_validation_rules():
         {"hyper": {"eta_server": 5.0}},
         {"n_clients": 8, "client_locations": ["Paris"] * 7},
         {"algorithm": "sync-spyker", "sync_period": -1},
+        {"n_clients": "abc"},
+        {"hyper": {"batch_size": 8.5}},
+        {"hyper": {"decay_enabled": 1}},
+        {"server_locations": "Paris"},
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
@@ -119,11 +124,19 @@ def test_overrides_flat_nested_and_typed():
     assert cfg.hyper.eta_init == 0.2
     assert cfg.compute.training_std_ms == 60
     assert cfg.client_counts == (4, 4, 4, 4)
+    # An int given for a float field is stored as a float, so 500 and 500.0
+    # give the same config and the same artifacts.
+    as_int = apply_overrides(cfg, ["horizon_ms=500", "compute.agg_fast_ms=2"])
+    as_float = apply_overrides(cfg, ["horizon_ms=500.0", "compute.agg_fast_ms=2.0"])
+    assert as_int == as_float and config_hash(as_int) == config_hash(as_float)
+    assert type(as_int.horizon_ms) is float and type(as_int.compute.agg_fast_ms) is float
+    assert type(from_dict({"horizon_ms": 500}).horizon_ms) is float
 
 
 def test_override_error_paths():
     cfg = from_dict({"preset": "desk-synth"})
-    for item in ("n_clients", "warp=9", "hyper.warp=9", "hyper.eta_init.x=1", "seed.x=1"):
+    for item in ("n_clients", "warp=9", "hyper.warp=9", "hyper.eta_init.x=1", "seed.x=1",
+                 "n_clients=abc", "hyper={eta_init: 0.1}", "preset=desk-mnist"):
         with pytest.raises(ConfigError):
             apply_overrides(cfg, [item])
     # Overrides re-validate the final state.
@@ -170,7 +183,12 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", str(tmp_path / "broken.yaml")]) == 1
     assert main(["run", "--out-dir", str(tmp_path / "r"), *TINY,
                  "--override", "hyper.eta_server=5.0"]) == 1
-    capsys.readouterr()
+    for bad in ("preset=nonexistent", "n_clients=abc", "hyper={eta_init: 0.1}"):
+        assert main(["run", "--out-dir", str(tmp_path / "r"), *TINY, "--override", bad]) == 1
+    assert main(["run", "--out-dir", str(tmp_path / "r"), *TINY, "--seeds", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "preset" in err and "n_clients" in err and "hyper.<field>" in err
+    assert "--seeds" in err
     # A data root without the IDX files passes config checks but fails
     # when the task is loaded.
     empty = tmp_path / "no-data"
@@ -231,3 +249,21 @@ def test_cli_ablate_decay(tmp_path):
     payload = json.loads((out / "decay-ablation.json").read_text())
     assert payload["decay_on"]["updates"] > 0
     assert payload["decay_off"]["updates"] > 0
+
+
+@pytest.mark.parametrize("command", ["run", "latency"])
+def test_cli_seeds_write_each_seed_and_the_median(tmp_path, capsys, command):
+    out = tmp_path / command
+    assert main([command, "--out-dir", str(out), "--seed", "3", "--seeds", "2", *TINY]) == 0
+    assert "median over seeds 3..4:" in capsys.readouterr().out
+    name = "summary.json" if command == "run" else "latency.json"
+    per_seed = []
+    for seed in (3, 4):
+        # Each seed writes what a one-seed call with that seed writes.
+        single = tmp_path / f"single{seed}"
+        assert main([command, "--out-dir", str(single), "--seed", str(seed), *TINY]) == 0
+        assert (out / f"seed{seed}" / name).read_bytes() == (single / name).read_bytes()
+        per_seed.append(json.loads((single / name).read_text()))
+    text = (out / "median.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    assert json.loads(text) == json.loads(json.dumps(median_over_seeds(per_seed)))

@@ -17,6 +17,7 @@ from spykersim.experiment import (
 )
 from spykersim.messages import Token
 from spykersim.simulation import RunManifest
+from spykersim.suites import UNREACHED, median_over_seeds
 
 
 def tiny(algorithm="spyker", **overrides):
@@ -256,3 +257,34 @@ def test_threshold_helpers():
     assert time_to_accuracy(rows, 0.9) == 1000.0
     assert time_to_accuracy(rows, 0.99) is None
     assert updates_to_accuracy(rows, 0.99) is None
+
+
+def test_median_over_seeds():
+    per_seed = [
+        {"t": 300.0, "n": 7, "miss": None, "ratio": UNREACHED, "never": None,
+         "off": UNREACHED, "name": "spyker", "stop": "target", "curve": [1, 2],
+         "same": [1], "ok": True, "cell": {"x": 1}, "partial": 1},
+        {"t": None, "n": 9, "miss": None, "ratio": 1.5, "never": None,
+         "off": UNREACHED, "name": "spyker", "stop": "horizon", "curve": [1, 3],
+         "same": [1], "ok": False, "cell": {"x": 3}},
+        {"t": 100.0, "n": 8, "miss": 4.0, "ratio": UNREACHED, "never": None,
+         "off": UNREACHED, "name": "spyker", "stop": "target", "curve": [1, 2],
+         "same": [1], "ok": True, "cell": {"x": 2}, "partial": 1},
+    ]
+    # None counts as +inf and an infinite median is written back as its
+    # marker. Agreeing leaves are kept; "stop", "curve" and "ok" disagree and
+    # "partial" is missing from one seed, so those four are dropped.
+    assert median_over_seeds(per_seed) == {
+        "t": 300.0,
+        "n": 8,
+        "miss": None,
+        "ratio": UNREACHED,
+        "never": None,
+        "off": UNREACHED,
+        "name": "spyker",
+        "same": [1],
+        "cell": {"x": 2},
+    }
+    # An even count takes the mean of the middle pair, as statistics.median.
+    assert median_over_seeds([{"v": 1}, {"v": 2}]) == {"v": 1.5}
+    assert median_over_seeds([{"v": 1.0}, {"v": None}]) == {"v": None}

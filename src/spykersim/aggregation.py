@@ -1,20 +1,31 @@
 """Model aggregation and weighting rules for all five training schemes.
 
 Everything operates on flat parameter vectors (1-D float64 arrays) and plain
-floats for model ages.  Functions are pure and never mutate their arguments.
+floats for model ages.  Functions are pure and never mutate their arguments,
+which alias in-flight messages.  The spyker client, server pair and FedAsync
+merges each write one fresh output array, with the same float64 operations
+as their textbook formulas.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .errors import ProtocolViolation
+from .errors import NumericsError, ProtocolViolation
 
 LITERAL = "literal"
 DAMPENED = "dampened"
+
+
+def require_finite(merged: np.ndarray, cause: Callable[[], str]) -> np.ndarray:
+    """``merged`` itself when every entry is finite; otherwise a NumericsError
+    with the message ``cause()``, which servers use to name the merge."""
+    if not np.isfinite(merged).all():
+        raise NumericsError(cause())
+    return merged
 
 
 def _check_same_dim(*vecs: np.ndarray) -> None:
@@ -61,7 +72,9 @@ def fedasync_merge(
     if not 1 <= d_k <= d:
         raise ValueError(f"need d >= d_k >= 1, got d_k={d_k}, d={d}")
     s = fedasync_staleness(staleness, alpha)
-    return w_global - s * (d_k / d) * (w_sent - w_returned)
+    out = np.subtract(w_sent, w_returned)
+    out *= s * (d_k / d)
+    return np.subtract(w_global, out, out=out)
 
 
 def client_staleness_weight(a_server: float, a_sent: float, mode: str = DAMPENED) -> float:
@@ -92,7 +105,10 @@ def spyker_client_merge(
         raise ValueError("weight must be >= 0")
     if not 0 < eta_server <= 1:
         raise ValueError("eta_server must be in (0, 1]")
-    return w_server + eta_server * weight * (w_client - w_server)
+    out = np.subtract(w_client, w_server)
+    out *= eta_server * weight
+    out += w_server
+    return out
 
 
 def decay(base_lr: float, u_k: int, u_mean: float, beta: float, eta_min: float) -> float:
@@ -140,4 +156,7 @@ def server_merge(
         raise ValueError("eta_a must be in (0, 1]")
     w = server_pair_weight(a_i, a_j, phi)
     c = eta_a * w
-    return w_i + c * (w_j - w_i), (1.0 - c) * a_i + c * a_j
+    out = np.subtract(w_j, w_i)
+    out *= c
+    out += w_i
+    return out, (1.0 - c) * a_i + c * a_j

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -23,6 +24,11 @@ ALGORITHMS = ("spyker", "sync-spyker", "fedavg", "fedasync", "hierfavg")
 SINGLE_SERVER = ("fedavg", "fedasync")
 
 DATA_ROOT_ENV = "SPYKERSIM_DATA"
+
+# A YAML 1.2 float with an exponent.  PyYAML reads YAML 1.1, where an
+# exponent float needs a dot and a signed exponent, so 1e8, 1.0e8 and -2E-3
+# reach the config as strings.
+_EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -215,9 +221,10 @@ PRESETS: dict[str, dict] = {
 def _typed(hint, value, name: str):
     """``value`` checked against ``hint``, the declared type of field ``name``.
 
-    Every config value passes through here once: an int given for a float
-    field becomes a float, a list becomes a tuple, and a mapping given for a
-    nested bundle builds that bundle.
+    Every config value passes through here once: an int or a YAML 1.2
+    exponent string (``1e8``) given for a float field becomes a float, a list
+    becomes a tuple, and a mapping given for a nested bundle builds that
+    bundle.
     """
     args = get_args(hint)
     if type(None) in args:
@@ -230,7 +237,9 @@ def _typed(hint, value, name: str):
             return tuple(_typed(args[0], v, name) for v in value)
     elif is_dataclass(hint) and isinstance(value, dict):
         return _build(hint, value, f"{name}.")
-    elif hint is float and type(value) is int:
+    elif hint is float and (
+        type(value) is int or (isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value))
+    ):
         return float(value)
     elif isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
         return value

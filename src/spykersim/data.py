@@ -1,13 +1,15 @@
 """Datasets: IDX loading, synthetic blobs, non-iid partitioning, evaluation.
 
-Features are float32 throughout; labels are int64.  All generation and
-partitioning is pure given a seed.
+Features are float32 throughout, with one cached float64 copy per dataset
+(``Dataset.features64``) for training and evaluation; labels are int64.  All
+generation and partitioning is pure given a seed.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +45,13 @@ class Dataset:
             raise ValueError(f"labels must lie in [0, {self.n_classes})")
         X.setflags(write=False)
         y.setflags(write=False)
+
+    @cached_property
+    def features64(self) -> np.ndarray:
+        """The features as float64, converted once and kept read-only."""
+        X = np.asarray(self.features, dtype=np.float64)
+        X.setflags(write=False)
+        return X
 
     @property
     def n_samples(self) -> int:
@@ -258,6 +267,6 @@ def evaluate(model, test: Dataset) -> float:
     """Fraction of argmax-correct predictions; argmax ties go to the lowest class."""
     from . import models
 
-    pred = models.predict(model, np.asarray(test.features, dtype=np.float64))
+    pred = models.predict(model, test.features64)
     return float(np.mean(pred == test.labels))
 

@@ -4,7 +4,9 @@ Two architectures cover the desk-scale experiments: multinomial logistic
 regression and a one-hidden-layer MLP with tanh activation (smooth, so
 finite-difference gradient checks are well conditioned).  Parameters live in
 a single flat float64 vector; every operation here is a pure function that
-returns fresh arrays and never mutates its inputs.
+returns fresh arrays and never mutates its inputs.  ``local_training`` is a
+fused in-place kernel on a private copy; ``loss_and_grad``,
+``local_sgd_step`` and ``sgd_step`` are the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -206,15 +208,73 @@ def local_training(
     """SGD over shuffled mini-batches for the given number of full passes.
 
     The shuffle order is drawn only from ``rng``, so reruns with an equally
-    seeded generator are bitwise identical.
+    seeded generator are bitwise identical.  This is the fold of
+    ``local_sgd_step`` over the batches, fused: each batch runs the same
+    float64 expressions as ``loss_and_grad`` and ``sgd_step``, in the same
+    order, but updates views of one private copy of the parameters in place
+    and skips the loss value.  ``m.params`` is never written.  Inputs are
+    checked once, and finiteness once at the end.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if lr < 0:
+        raise ValueError("lr must be >= 0")
     X = _check_batch(m, X, y)
+    y = np.asarray(y)
     n = X.shape[0]
+    out = m.with_params(m.params.copy())
+    if m.kind == LOGREG:
+        w1, b1 = _split_logreg(out)
+    else:
+        w1, b1, w2, b2 = _split_mlp(out)
+    # Reused buffers for the batch rows and the first layer's weight
+    # gradient, the two large per-batch arrays.
+    rows = np.arange(min(batch_size, n))
+    xbuf = np.empty((rows.size, m.input_dim))
+    gw1 = np.empty_like(w1)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            m = local_sgd_step(m, X[idx], y[idx], lr)
-    return m
+            k = idx.size
+            # idx is always in range; mode="clip" lets take write into xbuf.
+            Xb = np.take(X, idx, axis=0, out=xbuf[:k], mode="clip")
+            h = Xb @ w1
+            h += b1
+            if m.kind == LOGREG:
+                z = h
+            else:
+                np.tanh(h, out=h)
+                z = h @ w2
+                z += b2
+            # z becomes the softmax p, then dz = (p - onehot(y)) / k.
+            z -= z.max(axis=1, keepdims=True)
+            np.exp(z, out=z)
+            z /= z.sum(axis=1, keepdims=True)
+            z[rows[:k], y[idx]] -= 1.0
+            z /= k
+            if m.kind == LOGREG:
+                dpre = z
+            else:
+                gw2 = h.T @ z
+                gb2 = z.sum(axis=0)
+                dpre = h * h
+                np.subtract(1.0, dpre, out=dpre)
+                dpre *= z @ w2.T
+                _step(w2, gw2, lr)
+                _step(b2, gb2, lr)
+            _step(w1, np.matmul(Xb.T, dpre, out=gw1), lr)
+            _step(b1, dpre.sum(axis=0), lr)
+    finite = np.isfinite(out.params)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise NumericsError(f"local training left non-finite parameter {bad}", index=bad)
+    return out
+
+
+def _step(v: np.ndarray, g: np.ndarray, lr: float) -> None:
+    """v -= lr * g in place, reusing g's buffer; the same values as sgd_step."""
+    g *= lr
+    v -= g

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Dataset
-from ..errors import ProtocolViolation
+from ..errors import NumericsError, ProtocolViolation
 from ..messages import ClientUpdate, ModelDispatch
 from ..models import TinyModel, local_training
 from ..simulation import CLIENT, Node, Simulator
@@ -40,7 +40,7 @@ class TrainingClient(Node):
         self.training_delay_ms = training_delay_ms
         self.seed = seed
         self.data_size = shard.n_samples
-        self._X = np.asarray(shard.features, dtype=np.float64)
+        self._X = shard.features64
         self._y = shard.labels
         self._round = 0
 
@@ -56,15 +56,24 @@ class TrainingClient(Node):
             raise ProtocolViolation(f"client cannot handle {type(msg).__name__}")
         # One generator per dispatch keeps shuffles replayable by an
         # out-of-simulator reference implementation.
-        rng = np.random.default_rng([self.seed, self._round])
+        dispatch = self._round
+        rng = np.random.default_rng([self.seed, dispatch])
         self._round += 1
-        trained = local_training(
-            self.template.with_params(msg.params),
-            self._X,
-            self._y,
-            msg.lr,
-            self.epochs,
-            self.batch_size,
-            rng,
-        )
+        try:
+            trained = local_training(
+                self.template.with_params(msg.params),
+                self._X,
+                self._y,
+                msg.lr,
+                self.epochs,
+                self.batch_size,
+                rng,
+            )
+        except NumericsError as err:
+            raise NumericsError(
+                f"client {self.node_id} (home server {self.home_server}) trained dispatch "
+                f"round {dispatch} at lr {msg.lr} into a non-finite model: first non-finite "
+                f"component {err.index}",
+                index=err.index,
+            ) from err
         sim.send(self.node_id, self.home_server, ClientUpdate(trained.params, msg.age))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..aggregation import fedasync_merge
+from ..aggregation import fedasync_merge, fedasync_staleness, require_finite
 from ..errors import ProtocolViolation
 from ..messages import ClientUpdate, ModelDispatch
 from ..models import TinyModel
@@ -61,14 +61,20 @@ class FedAsyncServer(Node):
         if src not in self.u:
             raise ProtocolViolation(f"update from unknown client {src}")
         tau = float(self.version - self._version_sent[src])
-        merged = fedasync_merge(
-            self.model.params,
-            self._params_sent[src],
-            msg.params,
-            tau,
-            self.data_sizes[src],
-            self.total_data,
-            self.alpha,
+        d_k = self.data_sizes[src]
+        merged = require_finite(
+            fedasync_merge(
+                self.model.params,
+                self._params_sent[src],
+                msg.params,
+                tau,
+                d_k,
+                self.total_data,
+                self.alpha,
+            ),
+            lambda: f"server {self.node_id} merged client {src} into a non-finite model: "
+            f"staleness {tau}, coefficient s(tau) x d_k/d = "
+            f"{fedasync_staleness(tau, self.alpha) * (d_k / self.total_data)}",
         )
         self.model = self.model.with_params(merged)
         self.version += 1

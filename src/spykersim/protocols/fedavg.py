@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..aggregation import fedavg_aggregate
+from ..aggregation import fedavg_aggregate, require_finite
 from ..errors import ProtocolViolation
 from ..messages import ClientUpdate, ModelDispatch
 from ..models import TinyModel
@@ -85,7 +85,14 @@ class FedAvgServer(Node):
         self.u[src] += 1
         if len(self._pending) == len(self._selected):
             updates = [(self._pending[cid], self.data_sizes[cid]) for cid in self._selected]
-            self.model = self.model.with_params(fedavg_aggregate(updates))
+            merged = require_finite(
+                fedavg_aggregate(updates),
+                lambda: averaged_into_non_finite(
+                    f"server {self.node_id} averaged round {self.round}", "client",
+                    self._selected, updates,
+                ),
+            )
+            self.model = self.model.with_params(merged)
             self.updates_absorbed += len(updates)
             self.round += 1
             self._on_round_closed(sim)
@@ -97,3 +104,14 @@ class FedAvgServer(Node):
 
     def _on_other(self, sim: Simulator, src: int, msg) -> None:
         raise ProtocolViolation(f"server cannot handle {type(msg).__name__}")
+
+
+def averaged_into_non_finite(what: str, kind: str, sources: list[int], updates) -> str:
+    """The error message for a non-finite ``fedavg_aggregate(updates)``, one
+    update per id in ``sources``: it names the first source whose weighted
+    term is not finite, with its coefficient d_k/d."""
+    total = float(sum(d for _, d in updates))
+    for sid, (w, d) in zip(sources, updates):
+        if not np.isfinite((d / total) * w).all():
+            return f"{what} into a non-finite model: {kind} {sid}, coefficient d_k/d = {d / total}"
+    return f"{what} into a non-finite model: the weighted sum overflowed"

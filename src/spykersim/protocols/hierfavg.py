@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..aggregation import fedavg_aggregate
+from ..aggregation import fedavg_aggregate, require_finite
 from ..errors import ProtocolViolation
 from ..messages import CloudModel, EdgeReport
 from ..models import TinyModel
 from ..simulation import SERVER, Node, Simulator
-from .fedavg import FedAvgServer
+from .fedavg import FedAvgServer, averaged_into_non_finite
 
 
 class HierEdgeServer(FedAvgServer):
@@ -76,7 +76,14 @@ class HierCloud(Node):
         self._reports[src] = (msg.params, msg.weight)
         if len(self._reports) == len(self.edge_ids):
             updates = [self._reports[eid] for eid in self.edge_ids]
-            self.model = self.model.with_params(fedavg_aggregate(updates))
+            merged = require_finite(
+                fedavg_aggregate(updates),
+                lambda: averaged_into_non_finite(
+                    f"cloud {self.node_id} averaged cloud round {self.cloud_rounds}", "edge",
+                    self.edge_ids, updates,
+                ),
+            )
+            self.model = self.model.with_params(merged)
             self.cloud_rounds += 1
             self._reports = {}
             for eid in self.edge_ids:

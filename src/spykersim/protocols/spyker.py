@@ -16,10 +16,12 @@ import numpy as np
 from ..aggregation import (
     client_staleness_weight,
     decay,
+    require_finite,
     server_merge,
+    server_pair_weight,
     spyker_client_merge,
 )
-from ..errors import NumericsError, ProtocolViolation
+from ..errors import ProtocolViolation
 from ..hyperparams import HyperParams
 from ..messages import (
     AgeBroadcast,
@@ -85,13 +87,12 @@ class SpykerBase(Node):
         # dispatch; treat such echoes as fresh rather than rejecting them.
         age_sent = min(msg.age_sent, self.age)
         w = client_staleness_weight(self.age, age_sent, self.hp.staleness_mode)
-        merged = spyker_client_merge(self.model.params, msg.params, w, self.hp.eta_server)
-        if not np.isfinite(merged).all():
-            raise NumericsError(
-                f"server {self.node_id} merged client {src} into a non-finite model: "
-                f"age gap {self.age - age_sent}, coefficient eta_server x weight = "
-                f"{self.hp.eta_server * w}"
-            )
+        merged = require_finite(
+            spyker_client_merge(self.model.params, msg.params, w, self.hp.eta_server),
+            lambda: f"server {self.node_id} merged client {src} into a non-finite model: "
+            f"age gap {self.age - age_sent}, coefficient eta_server x weight = "
+            f"{self.hp.eta_server * w}",
+        )
         self.model = self.model.with_params(merged)
         self.age += 1.0
         self.u[src] += 1
@@ -199,10 +200,17 @@ class SpykerServer(SpykerBase):
             self.age_prev = self.age
             for p in self.peer_ids:
                 sim.send(self.node_id, p, ModelBroadcast(self.model.params, self.age, msg.bid))
-        params, self.age = server_merge(
+        params, age = server_merge(
             self.model.params, self.age, msg.params, msg.age, self.hp.eta_a, self.hp.phi
         )
+        require_finite(
+            params,
+            lambda: f"server {self.node_id} merged server {src} into a non-finite model: "
+            f"ages {self.age} and {msg.age}, coefficient eta_a x pair weight = "
+            f"{self.hp.eta_a * server_pair_weight(self.age, msg.age, self.hp.phi)}",
+        )
         self.model = self.model.with_params(params)
+        self.age = age
         if self.token is not None and self.token.bid == msg.bid:
             self.cnt[msg.bid] = self.cnt.get(msg.bid, 0) + 1
             self._maybe_pass_token(sim, msg.bid)

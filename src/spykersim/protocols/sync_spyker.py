@@ -11,7 +11,7 @@ updates in arrival order.
 
 from __future__ import annotations
 
-from ..aggregation import server_merge
+from ..aggregation import require_finite, server_merge, server_pair_weight
 from ..errors import ProtocolViolation
 from ..hyperparams import HyperParams
 from ..messages import ClientUpdate, ModelBroadcast, ReplayedUpdate
@@ -107,7 +107,14 @@ class SyncSpykerServer(SpykerBase):
         params, age = entries[order[0]]
         for idx in order[1:]:
             pj, aj = entries[idx]
-            params, age = server_merge(params, age, pj, aj, self.hp.eta_a, self.hp.phi)
+            merged, merged_age = server_merge(params, age, pj, aj, self.hp.eta_a, self.hp.phi)
+            require_finite(
+                merged,
+                lambda: f"server {self.node_id} merged server {self.server_ids[idx]} into a "
+                f"non-finite model in exchange round {r}: ages {age} and {aj}, coefficient "
+                f"eta_a x pair weight = {self.hp.eta_a * server_pair_weight(age, aj, self.hp.phi)}",
+            )
+            params, age = merged, merged_age
         self.model = self.model.with_params(params)
         self.age = age
         self.age_prev = age

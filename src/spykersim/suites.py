@@ -16,6 +16,7 @@ from statistics import median
 import numpy as np
 
 from .config import SINGLE_SERVER, ExperimentConfig
+from .errors import ConfigError
 from .experiment import RunResult, run_experiment, time_to_accuracy, updates_to_accuracy
 
 
@@ -65,7 +66,8 @@ def scalability_suite(
     The first entry of client_counts is the base population; multipliers
     report how much longer (and how many more updates) every other
     population needs to reach the same target.  Runs that never reach it
-    are marked "unreached" instead of a ratio.
+    are marked "unreached" instead of a ratio; a base run that meets the
+    target at time 0 leaves no multiplier defined and is a ConfigError.
     """
     if not client_counts:
         raise ValueError("client_counts must not be empty")
@@ -83,6 +85,12 @@ def scalability_suite(
                 "updates": res.summary["updates"],
                 "stop_reason": res.summary["stop_reason"],
             }
+            if count == client_counts[0] and row[alg]["time_to_target_ms"] == 0:
+                raise ConfigError(
+                    f"{alg} with the base population of {count} clients meets target "
+                    f"accuracy {target} at time 0, so no multiplier is defined; "
+                    "raise the target"
+                )
         table["clients"][str(count)] = row
 
     def ratio(value, base):

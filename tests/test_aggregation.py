@@ -17,6 +17,52 @@ def vec(*xs):
     return np.asarray(xs, dtype=np.float64)
 
 
+class TestSingleBufferMerges:
+    """Each merge equals its textbook formula byte for byte and returns a
+    fresh array; its inputs are read-only, as message payloads are shared,
+    so any write into them would raise."""
+
+    @staticmethod
+    def inputs(seed, n=3):
+        rng = np.random.default_rng(seed)
+        out = []
+        for scale in (1.0, 1e3, 1e-3)[:n]:
+            v = rng.normal(scale=scale, size=257)
+            v[:3] = (0.0, -0.0, scale)
+            v.setflags(write=False)
+            out.append(v)
+        return out
+
+    @staticmethod
+    def check(got, want, inputs):
+        assert got.tobytes() == want.tobytes()
+        assert not any(np.shares_memory(got, v) for v in inputs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spyker_client_merge(self, seed):
+        ws, wc = self.inputs(seed, 2)
+        for weight, eta in ((0.0, 1.0), (0.37, 0.6), (2.7, 0.03)):
+            got = agg.spyker_client_merge(ws, wc, weight, eta)
+            self.check(got, ws + eta * weight * (wc - ws), (ws, wc))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_server_merge(self, seed):
+        wi, wj = self.inputs(seed, 2)
+        for a_i, a_j in ((0.0, 0.0), (3.0, 11.0), (40.0, 2.5)):
+            got, age = agg.server_merge(wi, a_i, wj, a_j, 0.6, 1.5)
+            c = 0.6 * agg.server_pair_weight(a_i, a_j, 1.5)
+            self.check(got, wi + c * (wj - wi), (wi, wj))
+            assert age == (1.0 - c) * a_i + c * a_j
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fedasync_merge(self, seed):
+        wg, ws, wr = self.inputs(seed)
+        for tau, d_k, d in ((0.0, 5, 5), (3.0, 7, 40), (12.0, 1, 3)):
+            got = agg.fedasync_merge(wg, ws, wr, tau, d_k, d, 0.5)
+            s = agg.fedasync_staleness(tau, 0.5)
+            self.check(got, wg - s * (d_k / d) * (ws - wr), (wg, ws, wr))
+
+
 class TestFedAvg:
     def test_weighted_mean_two_models(self):
         # (100*1 + 300*3) / 400 applied componentwise: 0.25*1 + 0.75*3 = 2.5

@@ -7,7 +7,7 @@ import pytest
 
 from spykersim.aggregation import fedasync_merge, fedavg_aggregate
 from spykersim.data import PartitionSpec, evaluate, partition_noniid, synthetic_dataset, train_test_split
-from spykersim.errors import ProtocolViolation
+from spykersim.errors import NumericsError, ProtocolViolation
 from spykersim.messages import ClientUpdate, EdgeReport, ModelDispatch, payload_bytes
 from spykersim.models import LOGREG, init_model, local_training
 from spykersim.protocols import FedAsyncServer, FedAvgServer, HierCloud, HierEdgeServer, TrainingClient
@@ -171,6 +171,40 @@ def test_fedavg_duplicate_update_rejected(kind):
         server.handle(sim, clients[0].node_id, upd)
 
 
+@pytest.mark.parametrize("kind", ["fedavg", "hier-edge"])
+def test_fedavg_non_finite_average_names_its_cause(kind):
+    if kind == "fedavg":
+        sim, server, clients, shards, _, _ = build_fedavg(n_clients=3)
+    else:
+        sim, edges, _, clients, shards, _, _ = build_hier(n_edges=1, clients_per=3)
+        server = edges[0]
+    *good, last = clients
+    for c in good:
+        server.handle(sim, c.node_id, ClientUpdate(server.model.params, 0.0))
+    with pytest.raises(NumericsError) as err:
+        server.handle(sim, last.node_id, ClientUpdate(np.full(server.model.dim, np.inf), 0.0))
+    share = last.data_size / sum(s.n_samples for s in shards)
+    msg = str(err.value)
+    for part in (f"server {server.node_id} averaged round 0", f"client {last.node_id}",
+                 f"d_k/d = {share}"):
+        assert part in msg
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_fedasync_non_finite_merge_names_its_cause():
+    sim, server, clients, shards, _, _ = build_fedasync(n_clients=3)
+    c = clients[1]
+    # Sent 1e308, returned -1e308: the client's progress overflows.
+    server._params_sent[c.node_id] = np.full(server.model.dim, 1e308)
+    with pytest.raises(NumericsError) as err:
+        server.handle(sim, c.node_id, ClientUpdate(np.full(server.model.dim, -1e308), 0.0))
+    share = c.data_size / sum(s.n_samples for s in shards)
+    msg = str(err.value)
+    for part in (f"server {server.node_id} merged client {c.node_id}", "staleness 0.0",
+                 f"d_k/d = {share}"):
+        assert part in msg
+
+
 def test_fedavg_partial_selection():
     sim, server, _, _, _, _ = build_fedavg(n_clients=4, selection=0.5)
     dispatched = Counter()
@@ -284,6 +318,19 @@ def test_cloud_takes_data_weighted_mean():
     cloud.handle(sim, 11, EdgeReport(b, 3))
     assert np.allclose(cloud.model.params, 0.75 * b)
     assert cloud.cloud_rounds == 1
+
+
+def test_cloud_non_finite_average_names_its_cause():
+    sim = Simulator(LinkModel(uniform_latency_ms(10.0)))
+    template = init_model(LOGREG, 4, 2, rng=np.random.default_rng(0))
+    cloud = HierCloud(50, LOCATIONS[0], template, [10, 11], agg_ms=15.0)
+    sim.add_node(cloud)
+    cloud.handle(sim, 10, EdgeReport(np.zeros(template.dim), 1))
+    with pytest.raises(NumericsError) as err:
+        cloud.handle(sim, 11, EdgeReport(np.full(template.dim, np.nan), 3))
+    msg = str(err.value)
+    for part in ("cloud 50 averaged cloud round 0", "edge 11", "d_k/d = 0.75"):
+        assert part in msg
 
 
 def build_hier(n_edges=2, clients_per=2, cloud_period=3, seed=0, lr=0.1):

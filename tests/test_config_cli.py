@@ -81,6 +81,13 @@ def test_validation_rules():
         {"hyper": {"batch_size": 8.5}},
         {"hyper": {"decay_enabled": 1}},
         {"server_locations": "Paris"},
+        # Only a YAML 1.2 exponent float is read from a string, and only
+        # for a float field.
+        {"bandwidth_bps": "1.5"},
+        {"bandwidth_bps": "1e8x"},
+        {"bandwidth_bps": "e8"},
+        {"bandwidth_bps": "inf"},
+        {"n_clients": "1e2"},
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
@@ -108,7 +115,7 @@ def test_load_config_yaml(tmp_path):
         load_config(str(tmp_path / "absent.yaml"))
 
 
-def test_overrides_flat_nested_and_typed():
+def test_overrides_flat_nested_and_typed(tmp_path):
     cfg = from_dict({"preset": "desk-synth"})
     cfg = apply_overrides(cfg, [
         "n_clients=16",
@@ -131,6 +138,18 @@ def test_overrides_flat_nested_and_typed():
     assert as_int == as_float and config_hash(as_int) == config_hash(as_float)
     assert type(as_int.horizon_ms) is float and type(as_int.compute.agg_fast_ms) is float
     assert type(from_dict({"horizon_ms": 500}).horizon_ms) is float
+    # YAML 1.2 exponent floats, which PyYAML reads as strings, are floats
+    # through an override and through a config file alike.
+    exp = apply_overrides(cfg, ["bandwidth_bps=1e8", "hyper.eta_min=2E-3", "horizon_ms=1.5e3"])
+    assert (exp.bandwidth_bps, exp.hyper.eta_min, exp.horizon_ms) == (1e8, 2e-3, 1500.0)
+    assert type(exp.bandwidth_bps) is float
+    # A signed exponent float is read as a number and then range-checked.
+    with pytest.raises(ConfigError, match="> 0"):
+        apply_overrides(cfg, ["bandwidth_bps=-2E-3"])
+    path = tmp_path / "exp.yaml"
+    path.write_text("preset: desk-synth\nbandwidth_bps: 1.0e8\nhyper:\n  eta_min: 1e-6\n")
+    loaded = load_config(str(path))
+    assert loaded.bandwidth_bps == 1e8 and loaded.hyper.eta_min == 1e-6
 
 
 def test_override_error_paths():
@@ -197,6 +216,16 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     code = main(["run", "--out-dir", str(tmp_path / "r"), *TINY, "--override", "dataset=mnist"])
     assert code == 2
     assert "runtime error: FileNotFoundError" in capsys.readouterr().err
+
+
+def test_cli_scalability_base_meeting_target_at_time_zero_is_config_error(tmp_path, capsys):
+    # The 2-class initial model already scores above 0.2, so every base run
+    # reaches the target at t=0 and no time multiplier is defined.
+    code = main(["scalability", "--out-dir", str(tmp_path / "scal"), "--clients", "8", "12",
+                 *TINY, "--override", "target_accuracy=0.2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "spyker with the base population of 8 clients" in err
 
 
 def test_cli_histogram(tmp_path):

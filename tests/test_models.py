@@ -194,6 +194,65 @@ class TestLocalTraining:
         assert not np.array_equal(out.params, m.params)
 
 
+def fold_of_reference_steps(m, X, y, lr, epochs, batch_size, rng):
+    """local_training as the plain fold of local_sgd_step over rng's shuffles."""
+    X = np.asarray(X, dtype=np.float64)
+    for _ in range(epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), batch_size):
+            idx = order[start : start + batch_size]
+            m = models.local_sgd_step(m, X[idx], y[idx], lr)
+    return m
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("maker", [make_logreg, make_mlp])
+    @pytest.mark.parametrize("batch_size", [1, 32, 64])
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_equals_fold_of_reference_steps_byte_for_byte(self, maker, batch_size, epochs):
+        # 45 samples: batches of 32 leave a ragged last batch of 13, and 64
+        # is larger than the shard.  float32 features, as the datasets hold.
+        rng = np.random.default_rng(21)
+        m = maker(rng)
+        X, y = make_batch(rng, m, n=45)
+        X = X.astype(np.float32)
+        out = local_training(m, X, y, 0.3, epochs, batch_size, np.random.default_rng(5))
+        ref = fold_of_reference_steps(m, X, y, 0.3, epochs, batch_size, np.random.default_rng(5))
+        assert out.params.tobytes() == ref.params.tobytes()
+
+    @pytest.mark.parametrize("maker", [make_logreg, make_mlp])
+    def test_input_params_untouched_and_not_shared(self, maker):
+        # Dispatched parameters alias the server model; a read-only input
+        # makes any write into it fail.
+        m = maker()
+        before = m.params.copy()
+        frozen = before.copy()
+        frozen.setflags(write=False)
+        X, y = make_batch(np.random.default_rng(22), m, n=20)
+        out = local_training(m.with_params(frozen), X, y, 0.5, 2, 8, np.random.default_rng(23))
+        assert frozen.tobytes() == before.tobytes()
+        assert not np.shares_memory(out.params, frozen)
+        assert not np.array_equal(out.params, before)
+
+    def test_non_finite_start_raises_with_index(self):
+        m = make_mlp()
+        bad = m.params.copy()
+        bad[3] = np.inf
+        X, y = make_batch(np.random.default_rng(24), m)
+        with np.errstate(all="ignore"), pytest.raises(NumericsError) as exc:
+            local_training(m.with_params(bad), X, y, 0.1, 1, 8, np.random.default_rng(25))
+        assert exc.value.index is not None and 0 <= exc.value.index < m.dim
+
+    def test_bad_arguments_rejected_once(self):
+        m = make_logreg()
+        X, y = make_batch(np.random.default_rng(26), m)
+        for lr, epochs, batch in ((-0.1, 1, 8), (0.1, 0, 8), (0.1, 1, 0)):
+            with pytest.raises(ValueError):
+                local_training(m, X, y, lr, epochs, batch, np.random.default_rng(27))
+        with pytest.raises(ValueError):
+            local_training(m, X[:, :2], y, 0.1, 1, 8, np.random.default_rng(27))
+
+
 class TestTinyModelDataclass:
     def test_frozen(self):
         m = make_logreg()

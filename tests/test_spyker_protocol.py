@@ -8,7 +8,14 @@ import pytest
 from spykersim.data import PartitionSpec, evaluate, partition_noniid, synthetic_dataset, train_test_split
 from spykersim.errors import NumericsError, ProtocolViolation
 from spykersim.hyperparams import HyperParams
-from spykersim.messages import AgeBroadcast, ClientUpdate, ModelDispatch, Token, TokenPass
+from spykersim.messages import (
+    AgeBroadcast,
+    ClientUpdate,
+    ModelBroadcast,
+    ModelDispatch,
+    Token,
+    TokenPass,
+)
 from spykersim.models import LOGREG, init_model
 from spykersim.protocols import SpykerServer, SyncSpykerServer, TrainingClient
 from spykersim.simulation import (
@@ -229,6 +236,45 @@ def test_non_finite_merge_names_its_cause(variant):
     msg = str(err.value)
     for part in (f"server {s.node_id}", f"client {clients[0].node_id}", "age gap 3.0", "= 3.0"):
         assert part in msg
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("variant", ["spyker", "sync"])
+def test_non_finite_server_merge_names_its_cause(variant):
+    # The peer difference -1e308 - 1e308 overflows in server_merge; for the
+    # sync variant the third round-1 model completes the set and starts the
+    # fold, whose first pairwise merge (server 0 with server 1) overflows.
+    hp = HyperParams(h_inter=1e6, h_intra=1e6)
+    sim, servers, _, _ = build(hp=hp, variant=variant, sync_period=1e6)
+    s = servers[0]
+    s.model = s.model.with_params(np.full(s.model.dim, 1e308))
+    low = np.full(s.model.dim, -1e308)
+    peers = [1] if variant == "spyker" else [1, 2, 3]
+    with pytest.raises(NumericsError) as err:
+        for j in peers:
+            s.handle(sim, j, ModelBroadcast(low, 0.0, 1))
+    msg = str(err.value)
+    # Equal ages give pair weight 0.5.
+    for part in ("server 0 merged server 1", "ages 0.0 and 0.0", f"pair weight = {hp.eta_a * 0.5}"):
+        assert part in msg
+    if variant == "sync":
+        assert "exchange round 1" in msg and s.syncing
+
+
+def test_client_training_failure_names_the_client():
+    sim, _, clients, _ = build()
+    c = clients[0]
+    c.handle(sim, c.home_server, ModelDispatch(c.template.params, 0.0, 0.1))
+    bad = c.template.params.copy()
+    bad[2] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(NumericsError) as err:
+        c.handle(sim, c.home_server, ModelDispatch(bad, 1.0, 0.25))
+    msg = str(err.value)
+    for part in (f"client {c.node_id}", f"home server {c.home_server}", "dispatch round 1",
+                 "lr 0.25", f"component {err.value.index}"):
+        assert part in msg
+    assert err.value.index is not None
+    assert isinstance(err.value.__cause__, NumericsError)
 
 
 def test_dispatches_come_only_from_home_server():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import warnings
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -22,6 +23,8 @@ from .simulation import LOCATIONS, ComputeProfile
 
 ALGORITHMS = ("spyker", "sync-spyker", "fedavg", "fedasync", "hierfavg")
 SINGLE_SERVER = ("fedavg", "fedasync")
+# The algorithms that absorb client updates with the spyker client merge.
+SPYKER_MERGE = ("spyker", "sync-spyker")
 
 DATA_ROOT_ENV = "SPYKERSIM_DATA"
 
@@ -146,6 +149,21 @@ class ExperimentConfig:
         if not 0 < self.selection_fraction <= 1:
             raise ConfigError("selection_fraction must be in (0, 1]")
         self.hyper.validate()
+        most = max(counts)
+        if (
+            self.algorithm in SPYKER_MERGE
+            and self.hyper.staleness_mode == "literal"
+            and self.hyper.eta_server * most > 1
+        ):
+            # The literal weight is the age gap, which grows with the clients
+            # per server, so the merge coefficient has no bound of its own.
+            warnings.warn(
+                f"literal staleness merge is unbounded: hyper.eta_server {self.hyper.eta_server} "
+                f"x {most} clients on one server = {self.hyper.eta_server * most:g} > 1, so a "
+                "server can step past the client model and diverge",
+                UserWarning,
+                stacklevel=2,
+            )
         return self
 
 

@@ -41,6 +41,7 @@ from .protocols import (
     SyncSpykerServer,
     TrainingClient,
 )
+from .protocols.spyker import SpykerBase
 from .simulation import (
     AWS4_LATENCY_MS,
     LinkModel,
@@ -364,6 +365,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         "bytes_by_class": dict(sim.bytes_by_class),
         "total_bytes": sim.total_bytes,
         "client_updates": {str(k): v for k, v in sorted(built.client_update_counts().items())},
+        "age_clamps": {
+            str(s.node_id): s.age_clamps for s in built.servers if isinstance(s, SpykerBase)
+        },
         "config_hash": built.manifest.config_hash,
         "config": to_dict(cfg),
     }

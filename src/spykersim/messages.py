@@ -90,31 +90,35 @@ class ReplayedUpdate:
     orig_src: int
 
 
+_MODEL_BEARING = frozenset({ModelDispatch, ClientUpdate, ModelBroadcast, EdgeReport, CloudModel})
+
+
 def payload_bytes(msg) -> int:
-    if isinstance(msg, (ModelDispatch, ClientUpdate, ModelBroadcast, EdgeReport, CloudModel)):
+    # Dispatch on the exact type: message classes are final, and this runs
+    # for every send.
+    t = type(msg)
+    if t in _MODEL_BEARING:
         return PARAM_BYTES * len(msg.params) + HEADER_BYTES
-    if isinstance(msg, AgeBroadcast):
+    if t is AgeBroadcast:
         return HEADER_BYTES + AGE_BYTES
-    if isinstance(msg, TokenPass):
+    if t is TokenPass:
         return HEADER_BYTES + AGE_BYTES * len(msg.token.ages)
-    if isinstance(msg, ReplayedUpdate):
+    if t is ReplayedUpdate:
         return 0
-    raise TypeError(f"unknown message type {type(msg).__name__}")
+    raise TypeError(f"unknown message type {t.__name__}")
+
+
+_DESCRIBE = {
+    ModelBroadcast: lambda m: f"ModelBroadcast(bid={m.bid},age={m.age:.6f})",
+    TokenPass: lambda m: f"TokenPass(bid={m.token.bid})",
+    AgeBroadcast: lambda m: f"AgeBroadcast(age={m.age:.6f})",
+    ClientUpdate: lambda m: f"ClientUpdate(age_sent={m.age_sent:.6f})",
+    ModelDispatch: lambda m: f"ModelDispatch(age={m.age:.6f},lr={m.lr:.9f})",
+    ReplayedUpdate: lambda m: f"ReplayedUpdate(src={m.orig_src})",
+}
 
 
 def describe(msg) -> str:
     """Compact single-token description used in event traces."""
-    name = type(msg).__name__
-    if isinstance(msg, ModelBroadcast):
-        return f"{name}(bid={msg.bid},age={msg.age:.6f})"
-    if isinstance(msg, TokenPass):
-        return f"{name}(bid={msg.token.bid})"
-    if isinstance(msg, AgeBroadcast):
-        return f"{name}(age={msg.age:.6f})"
-    if isinstance(msg, ClientUpdate):
-        return f"{name}(age_sent={msg.age_sent:.6f})"
-    if isinstance(msg, ModelDispatch):
-        return f"{name}(age={msg.age:.6f},lr={msg.lr:.9f})"
-    if isinstance(msg, ReplayedUpdate):
-        return f"{name}(src={msg.orig_src})"
-    return name
+    fmt = _DESCRIBE.get(type(msg))
+    return type(msg).__name__ if fmt is None else fmt(msg)

@@ -11,8 +11,6 @@ ring.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..aggregation import (
     client_staleness_weight,
     decay,
@@ -75,6 +73,7 @@ class SpykerBase(Node):
         self.u = {cid: 0 for cid in client_ids}
         self.eta = {cid: hp.eta_init for cid in client_ids}
         self.updates_absorbed = 0
+        self.age_clamps = 0
 
     def bootstrap(self, sim: Simulator) -> None:
         for cid in sorted(self.u):
@@ -84,8 +83,12 @@ class SpykerBase(Node):
         if src not in self.u:
             raise ProtocolViolation(f"update from unknown client {src} at server {self.node_id}")
         # Server-server merges can pull the age below an outstanding
-        # dispatch; treat such echoes as fresh rather than rejecting them.
-        age_sent = min(msg.age_sent, self.age)
+        # dispatch; treat such echoes as fresh rather than rejecting them,
+        # and count them.
+        age_sent = msg.age_sent
+        if age_sent > self.age:
+            age_sent = self.age
+            self.age_clamps += 1
         w = client_staleness_weight(self.age, age_sent, self.hp.staleness_mode)
         merged = require_finite(
             spyker_client_merge(self.model.params, msg.params, w, self.hp.eta_server),
@@ -119,7 +122,7 @@ class SpykerServer(SpykerBase):
     ):
         super().__init__(node_id, location, server_ids, model, client_ids, hp, agg_ms)
         self.ring_successor = ring_successor
-        self.known_ages = np.zeros(self.n_servers)
+        self.known_ages = [0.0] * self.n_servers
         self.token = token
         self.did_broadcast: set[int] = set()
         self.cnt: dict[int, int] = {}
@@ -135,13 +138,13 @@ class SpykerServer(SpykerBase):
         return self.agg_ms
 
     def handle(self, sim: Simulator, src: int, msg) -> None:
-        if isinstance(msg, ClientUpdate):
+        if isinstance(msg, AgeBroadcast):
+            self._on_age(sim, src, msg)
+        elif isinstance(msg, ClientUpdate):
             self._absorb(sim, src, msg)
             self._check_synchronization(sim)
         elif isinstance(msg, ModelBroadcast):
             self._on_model_broadcast(sim, src, msg)
-        elif isinstance(msg, AgeBroadcast):
-            self._on_age(sim, src, msg)
         elif isinstance(msg, TokenPass):
             self._on_token(sim, msg)
         else:
@@ -149,14 +152,14 @@ class SpykerServer(SpykerBase):
 
     # -- state transitions ---------------------------------------------------
 
-    def effective_ages(self) -> np.ndarray:
+    def effective_ages(self) -> list[float]:
         ages = self.known_ages.copy()
         ages[self.server_index] = self.age
         return ages
 
     def _check_synchronization(self, sim: Simulator) -> None:
         ages = self.effective_ages()
-        triggered = (ages.max() - ages.min() >= self.hp.h_inter) or (
+        triggered = (max(ages) - min(ages) >= self.hp.h_inter) or (
             self.age - self.age_prev >= self.hp.h_intra
         )
         if not triggered:
@@ -169,15 +172,18 @@ class SpykerServer(SpykerBase):
             bid = self.token.bid
             self.did_broadcast.add(bid)
             self.cnt[bid] = 1
+            msg = ModelBroadcast(self.model.params, self.age, bid)
             for p in self.peer_ids:
-                sim.send(self.node_id, p, ModelBroadcast(self.model.params, self.age, bid))
+                sim.send(self.node_id, p, msg)
             self._maybe_pass_token(sim, bid)
         else:
             # Throttle: re-gossip only after the local age has grown by >= 1.
             if self._last_age_broadcast is None or self.age - self._last_age_broadcast >= 1.0:
                 self._last_age_broadcast = self.age
+                # Messages are frozen, so every peer can share one.
+                msg = AgeBroadcast(self.age)
                 for p in self.peer_ids:
-                    sim.send(self.node_id, p, AgeBroadcast(self.age))
+                    sim.send(self.node_id, p, msg)
 
     def _on_age(self, sim: Simulator, src: int, msg: AgeBroadcast) -> None:
         j = self.index_of[src]
@@ -188,7 +194,7 @@ class SpykerServer(SpykerBase):
         if self.token is not None:
             raise ProtocolViolation(f"server {self.node_id} received a token while holding one")
         t = msg.token
-        self.known_ages = np.maximum(self.known_ages, np.asarray(t.ages))
+        self.known_ages = [max(a, b) for a, b in zip(self.known_ages, t.ages)]
         self.token = Token(t.bid + 1, t.ages)
         self._check_synchronization(sim)
 
@@ -198,8 +204,9 @@ class SpykerServer(SpykerBase):
         if msg.bid not in self.did_broadcast:
             self.did_broadcast.add(msg.bid)
             self.age_prev = self.age
+            echo = ModelBroadcast(self.model.params, self.age, msg.bid)
             for p in self.peer_ids:
-                sim.send(self.node_id, p, ModelBroadcast(self.model.params, self.age, msg.bid))
+                sim.send(self.node_id, p, echo)
         params, age = server_merge(
             self.model.params, self.age, msg.params, msg.age, self.hp.eta_a, self.hp.phi
         )

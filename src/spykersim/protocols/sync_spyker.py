@@ -96,8 +96,9 @@ class SyncSpykerServer(SpykerBase):
             )
         self._peer_models.setdefault(r, {})[self.index_of[src]] = (msg.params, msg.age)
         if not self.syncing and self._broadcast_round < r:
+            # Joining the round folds at once when this model completed it.
             self._start_sync(sim)
-        if self._broadcast_round == r and len(self._peer_models[r]) == self.n_servers - 1:
+        elif self._broadcast_round == r and len(self._peer_models[r]) == self.n_servers - 1:
             self._fold(sim, r)
 
     def _fold(self, sim: Simulator, r: int) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
@@ -174,6 +175,7 @@ class Simulator:
         self._seq = 0
         self._queues: dict[int, deque] = {}
         self._busy: dict[int, bool] = {}
+        self._routes: dict[tuple[int, int], tuple[float, str]] = {}
         self._pending_real = 0
         self._hasher = hashlib.sha256()
 
@@ -196,25 +198,38 @@ class Simulator:
         if kind != EVAL:
             self._pending_real += 1
 
-    def send(self, src: int, dst: int, msg) -> None:
+    def _route(self, src: int, dst: int) -> tuple[float, str]:
+        """(latency, byte class) of the directed link src -> dst."""
         if dst not in self.nodes or src not in self.nodes:
             raise ConfigError(f"send between unknown nodes {src}->{dst}")
-        if isinstance(msg, TokenPass):
-            self.tokens_in_flight += 1
-        if src == dst:
-            self._push(self.now, DELIVER, (src, dst, msg), sent_at=self.now)
-            return
-        nbytes = payload_bytes(msg)
-        lat = self.link.latency_between(self.nodes[src].location, self.nodes[dst].location)
-        raw = self.now + lat + self.link.transfer_ms(nbytes)
+        a, b = self.nodes[src], self.nodes[dst]
+        both = a.kind == SERVER and b.kind == SERVER
+        return (
+            self.link.latency_between(a.location, b.location),
+            "server-server" if both else "server-client",
+        )
+
+    def send(self, src: int, dst: int, msg) -> None:
         key = (src, dst)
-        at = max(raw, self.link.last_delivery.get(key, 0.0))
-        self.link.last_delivery[key] = at
-        if self.nodes[src].kind == SERVER and self.nodes[dst].kind == SERVER:
-            self.bytes_by_class["server-server"] += nbytes
-        else:
-            self.bytes_by_class["server-client"] += nbytes
-        self._push(at, DELIVER, (src, dst, msg), sent_at=self.now, lat=lat)
+        route = self._routes.get(key)
+        if route is None:
+            # A node's location and kind are fixed once added, so the first
+            # send on a link settles its route for the rest of the run.
+            route = self._routes[key] = self._route(src, dst)
+        if type(msg) is TokenPass:
+            self.tokens_in_flight += 1
+        now = self.now
+        if src == dst:
+            self._push(now, DELIVER, (src, dst, msg), sent_at=now)
+            return
+        lat, byte_class = route
+        nbytes = payload_bytes(msg)
+        link = self.link
+        raw = now + lat + link.transfer_ms(nbytes)
+        at = max(raw, link.last_delivery.get(key, 0.0))
+        link.last_delivery[key] = at
+        self.bytes_by_class[byte_class] += nbytes
+        self._push(at, DELIVER, (src, dst, msg), sent_at=now, lat=lat)
 
     @property
     def total_bytes(self) -> int:
@@ -248,48 +263,56 @@ class Simulator:
         if eval_interval_ms and self._pending_real > 0:
             self._push(eval_interval_ms, EVAL, None)
 
-        stopped = False
-        while self._heap and not stopped:
-            if horizon_ms is not None and self._heap[0][0] > horizon_ms:
+        # The heap, queue and busy containers are never rebound, so locals
+        # stay valid while handlers push through send() and _start_service().
+        heap, pop = self._heap, heapq.heappop
+        nodes, queues, busy = self.nodes, self._queues, self._busy
+        hash_update = self._hasher.update
+        horizon = math.inf if horizon_ms is None else horizon_ms
+        while heap:
+            if heap[0][0] > horizon:
                 self.now = horizon_ms
                 self.stop_reason = "horizon"
                 break
-            time, seq, kind, data, sent_at, lat = heapq.heappop(self._heap)
-            if kind != EVAL:
-                self._pending_real -= 1
+            time, seq, kind, data, sent_at, lat = pop(heap)
             self.now = time
-
-            if kind == EVAL:
-                record = EventRecord(time, seq, EVAL, -1, -1, "eval")
+            stopped = False
+            if kind == DELIVER:
+                self._pending_real -= 1
+                src, dst, msg = data
+                info = describe(msg)
+                if type(msg) is TokenPass:
+                    self.tokens_in_flight -= 1
+                node = nodes[dst]
+                if node.instant(msg):
+                    node.handle(self, src, msg)
+                else:
+                    queues[dst].append((src, msg))
+                    if not busy[dst]:
+                        self._start_service(dst)
+            elif kind == SERVICE:
+                self._pending_real -= 1
+                src, dst, msg = data
+                info = describe(msg)
+                nodes[dst].handle(self, src, msg)
+                if queues[dst]:
+                    self._start_service(dst)
+                else:
+                    busy[dst] = False
+            else:
+                src = dst = -1
+                info = EVAL
                 if eval_hook is not None and eval_hook(self):
                     self.stop_reason = "target"
                     stopped = True
                 elif self._pending_real > 0:
                     self._push(time + eval_interval_ms, EVAL, None)
-            elif kind == DELIVER:
-                src, dst, msg = data
-                record = EventRecord(time, seq, DELIVER, src, dst, describe(msg), sent_at, lat)
-                if isinstance(msg, TokenPass):
-                    self.tokens_in_flight -= 1
-                node = self.nodes[dst]
-                if node.instant(msg):
-                    node.handle(self, src, msg)
-                else:
-                    self._queues[dst].append((src, msg))
-                    if not self._busy[dst]:
-                        self._start_service(dst)
-            else:
-                src, dst, msg = data
-                record = EventRecord(time, seq, SERVICE, src, dst, describe(msg))
-                node = self.nodes[dst]
-                node.handle(self, src, msg)
-                if self._queues[dst]:
-                    self._start_service(dst)
-                else:
-                    self._busy[dst] = False
 
             self.events_processed += 1
-            self._hasher.update(record.line().encode())
-            self._hasher.update(b"\n")
+            # Streamed line by line, this is the SHA-256 of every
+            # EventRecord.line() + "\n"; records are built only for a hook.
+            hash_update(f"{time:.9f}|{seq}|{kind}|{src}|{dst}|{info}\n".encode())
             if self.on_event is not None:
-                self.on_event(self, record)
+                self.on_event(self, EventRecord(time, seq, kind, src, dst, info, sent_at, lat))
+            if stopped:
+                break

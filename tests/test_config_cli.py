@@ -1,10 +1,16 @@
 """Config assembly, validation, overrides, and the command-line surface."""
 
+import importlib.util
 import json
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
 from spykersim.config import (
+    ALGORITHMS,
+    PRESETS,
     apply_overrides,
     config_hash,
     from_dict,
@@ -15,7 +21,7 @@ from spykersim.cli import main
 from spykersim.errors import ConfigError
 from spykersim.experiment import read_summary
 from spykersim.simulation import RunManifest
-from spykersim.suites import median_over_seeds
+from spykersim.suites import median_over_seeds, variant
 
 TINY = [
     "--override", "n_clients=8",
@@ -92,6 +98,34 @@ def test_validation_rules():
     for raw in bad:
         with pytest.raises(ConfigError):
             from_dict(raw)
+
+
+def test_unbounded_literal_merge_warns():
+    with pytest.warns(UserWarning, match=r"hyper.eta_server 0.03 x 80 clients on one server = 2.4"):
+        from_dict({"preset": "desk-synth", "n_clients": 320})
+    # Only the spyker merge uses the staleness mode.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        from_dict({"preset": "desk-synth", "n_clients": 320, "algorithm": "hierfavg"})
+        from_dict({"preset": "desk-synth", "n_clients": 320, "hyper": {"staleness_mode": "dampened"}})
+
+
+def test_presets_and_benchmark_workloads_do_not_warn(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        presets = [from_dict({"preset": name}) for name in PRESETS]
+        for cfg in presets:
+            for alg in ALGORITHMS:
+                variant(cfg, alg)
+        for name in workloads.WORKLOADS:
+            for run in workloads.make_runs(name, 1):
+                run.cfg.validate()
 
 
 def test_config_hash_tracks_content():

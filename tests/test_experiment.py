@@ -136,6 +136,17 @@ def test_run_rows_and_summary_shape():
     assert len(res.trace_hash) == 64
 
 
+@pytest.mark.parametrize("algorithm", ["spyker", "sync-spyker", "fedavg"])
+def test_summary_counts_age_clamps_per_spyker_server(algorithm):
+    res = run_experiment(tiny(algorithm))
+    clamps = res.summary["age_clamps"]
+    if algorithm == "fedavg":
+        assert clamps == {}
+    else:
+        assert clamps == {str(s.node_id): s.age_clamps for s in res.built.servers}
+        assert all(type(v) is int and v >= 0 for v in clamps.values())
+
+
 def test_target_stop_before_first_event():
     # Any positive target below the untrained accuracy stops at the t=0 eval.
     res = run_experiment(tiny(target_accuracy=0.01))

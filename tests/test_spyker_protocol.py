@@ -199,6 +199,25 @@ def test_token_carries_age_vector():
     assert s.known_ages[2] == 1.0
 
 
+@pytest.mark.parametrize("variant", ["spyker", "sync"])
+def test_age_clamp_is_counted(variant):
+    # Server 0 dispatches at age 3, then a merge with a younger peer pulls
+    # its age below 3 before the client's echo of that dispatch arrives.
+    hp = HyperParams(h_inter=1e6, h_intra=1e6)
+    n_servers = 4 if variant == "spyker" else 2
+    sim, servers, clients, _ = build(n_servers=n_servers, hp=hp, variant=variant, sync_period=1e6)
+    s, c = servers[0], clients[0]
+    for _ in range(3):
+        s.handle(sim, c.node_id, ClientUpdate(s.model.params, s.age))
+    assert (s.age, s.age_clamps) == (3.0, 0)
+    s.handle(sim, 1, ModelBroadcast(s.model.params, 0.0, 1))
+    assert s.age < 3.0
+    s.handle(sim, c.node_id, ClientUpdate(s.model.params, 3.0))
+    assert s.age_clamps == 1
+    s.handle(sim, c.node_id, ClientUpdate(s.model.params, s.age))
+    assert s.age_clamps == 1
+
+
 def test_update_accounting_matches_trace():
     sim, servers, _, _ = build()
     serviced = Counter()

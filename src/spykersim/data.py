@@ -179,13 +179,19 @@ def synthetic_dataset(
 
     base = n_samples // n_classes
     counts = [base + (1 if k < n_samples % n_classes else 0) for k in range(n_classes)]
-    X = np.concatenate(
-        [C[k] + rng.normal(size=(counts[k], dim)) for k in range(n_classes)]
-    )
+    # One class block of float64 draws at a time, rounded into the float32
+    # array: the same draws and values as building all of X in float64.
+    X = np.empty((n_samples, dim), dtype=np.float32)
+    start = 0
+    for k in range(n_classes):
+        block = rng.normal(size=(counts[k], dim))
+        block += C[k]
+        X[start : start + counts[k]] = block
+        start += counts[k]
     y = np.concatenate([np.full(counts[k], k, dtype=np.int64) for k in range(n_classes)])
     order = rng.permutation(n_samples)
     return Dataset(
-        X[order].astype(np.float32),
+        X[order],
         y[order],
         n_classes,
         name or f"synthetic-{n_classes}c-{dim}d",

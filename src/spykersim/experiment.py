@@ -3,6 +3,8 @@
 Turns a config into a wired topology (servers, clients, link model, seeds),
 runs it under a periodic evaluation hook, and emits the standard per-run
 artifacts: manifest.json, timeseries.csv, summary.json, trace-hash.txt.
+The event loop runs on the calling thread; the evaluations are scored on
+one worker thread per run, with BLAS pinned to one thread for the run.
 
 All randomness is derived from the master seed through named seed tags, so a
 client's data order and training delay depend only on (master seed, client
@@ -14,16 +16,17 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .config import DATA_ROOT_ENV, ExperimentConfig, config_hash, to_dict
+from .blas import one_blas_thread
+from .config import DATA_ROOT_ENV, SPYKER_MERGE, ExperimentConfig, config_hash, to_dict
 from .data import (
     Dataset,
     PartitionSpec,
-    evaluate,
     load_idx,
     partition_noniid,
     synthetic_dataset,
@@ -31,7 +34,7 @@ from .data import (
 )
 from .errors import ConfigError
 from .messages import Token
-from .models import TinyModel, init_model
+from .models import MLP, TinyModel, init_model, predict_into
 from .protocols import (
     FedAsyncServer,
     FedAvgServer,
@@ -310,38 +313,87 @@ class RunResult:
     built: BuiltExperiment | None = None
 
 
+class _Evaluator:
+    """Scores a run's eval model on one worker thread, skipping repeats.
+
+    A call snapshots the eval model's inputs by reference: the global or
+    cloud parameters, or every spyker server's parameters and age.  Servers
+    replace their parameter arrays and never write them, so a snapshot with
+    the same arrays and ages scores the same model, and the previous
+    accuracy is reused.  Otherwise the worker scores it with the float64
+    operations of ``BuiltExperiment.eval_model`` and ``data.evaluate``, in
+    the same order, into buffers allocated once.  A call returns the
+    accuracy's Future; calls on an unchanged snapshot share one.
+    """
+
+    def __init__(self, built: BuiltExperiment):
+        self.built = built
+        cfg, template, test = built.cfg, built.template, built.test
+        self.pooled = cfg.algorithm in SPYKER_MERGE
+        self.uniform = cfg.eval_target == "mean"
+        self.X = test.features64
+        self.labels = test.labels
+        n = test.n_samples
+        if self.pooled:
+            self.stack = np.empty((len(built.servers), template.dim))
+            self.mean = np.empty(template.dim)
+        self.logits = np.empty((n, template.n_classes))
+        self.hidden = np.empty((n, template.hidden_dim)) if template.kind == MLP else None
+        self.pred = np.empty(n, dtype=np.intp)
+        self.hits = np.empty(n, dtype=bool)
+        self._last: tuple | None = None
+        self._acc: Future | None = None
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-eval")
+
+    def __call__(self) -> Future:
+        built = self.built
+        if self.pooled:
+            params = tuple(s.model.params for s in built.servers)
+            ages = tuple(s.age for s in built.servers)
+        else:
+            node = built.cloud if built.cloud is not None else built.servers[0]
+            params, ages = (node.model.params,), ()
+        last = self._last
+        if last is None or ages != last[1] or any(a is not b for a, b in zip(params, last[0])):
+            self._last = (params, ages)
+            self._acc = self._pool.submit(self._score, params, ages)
+        return self._acc
+
+    def _score(self, params: tuple, ages: tuple) -> float:
+        if self.pooled:
+            stack = np.stack(params, out=self.stack)
+            a = np.array(ages)
+            if self.uniform or a.sum() <= 0:
+                weights = np.full(len(params), 1.0 / len(params))
+            else:
+                weights = a / a.sum()
+            flat = np.matmul(weights, stack, out=self.mean)
+        else:
+            flat = params[0]
+        model = self.built.template.with_params(flat)
+        pred = predict_into(model, self.X, self.logits, self.hidden, self.pred)
+        return float(np.mean(np.equal(pred, self.labels, out=self.hits)))
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
-    built = build_experiment(cfg)
-    sim = built.sim
-    rows: list[dict] = []
-
-    def snapshot(sim: Simulator) -> bool:
-        acc = evaluate(built.eval_model(), built.test)
-        updates = built.total_updates()
-        row = {"sim_time_ms": sim.now, "updates": updates, "accuracy": acc}
-        row["bytes_server_server"] = sim.bytes_by_class["server-server"]
-        row["bytes_server_client"] = sim.bytes_by_class["server-client"]
-        for s in built.servers:
-            row[f"queue_{s.node_id}"] = sim.queue_length(s.node_id)
-        rows.append(row)
-        if cfg.target_accuracy is not None and acc >= cfg.target_accuracy:
-            return True
-        if cfg.max_updates is not None and updates >= cfg.max_updates:
-            return True
-        return False
-
-    stopped_at_start = snapshot(sim)
-    if not stopped_at_start:
-        sim.run(
-            horizon_ms=cfg.horizon_ms,
-            eval_interval_ms=cfg.eval_interval_ms,
-            eval_hook=snapshot,
+    with one_blas_thread() as blas:
+        built = build_experiment(cfg)
+        built.manifest = replace(
+            built.manifest,
+            blas_library=blas.library,
+            blas_threads=blas.threads,
+            blas_pinned=blas.pinned,
         )
-        if rows[-1]["sim_time_ms"] < sim.now:
-            snapshot(sim)
-    else:
-        sim.stop_reason = "target"
+        evaluator = _Evaluator(built)
+        try:
+            rows = _run_rows(built, evaluator)
+        finally:
+            evaluator.close()
 
+    sim = built.sim
     accs = [r["accuracy"] for r in rows]
     summary = {
         "algorithm": cfg.algorithm,
@@ -375,6 +427,50 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     if out_dir is not None:
         write_run(result, out_dir)
     return result
+
+
+def _run_rows(built: BuiltExperiment, evaluator: _Evaluator) -> list[dict]:
+    """Run the simulation; one row per evaluation, accuracies resolved."""
+    cfg, sim = built.cfg, built.sim
+    rows: list[dict] = []
+
+    def snapshot(sim: Simulator) -> bool:
+        acc = evaluator()
+        updates = built.total_updates()
+        row = {"sim_time_ms": sim.now, "updates": updates, "accuracy": acc}
+        row["bytes_server_server"] = sim.bytes_by_class["server-server"]
+        row["bytes_server_client"] = sim.bytes_by_class["server-client"]
+        for s in built.servers:
+            row[f"queue_{s.node_id}"] = sim.queue_length(s.node_id)
+        rows.append(row)
+        # Only the stop decision waits for the worker.
+        if cfg.target_accuracy is not None and _resolve(row) >= cfg.target_accuracy:
+            return True
+        if cfg.max_updates is not None and updates >= cfg.max_updates:
+            return True
+        return False
+
+    stopped_at_start = snapshot(sim)
+    if not stopped_at_start:
+        sim.run(
+            horizon_ms=cfg.horizon_ms,
+            eval_interval_ms=cfg.eval_interval_ms,
+            eval_hook=snapshot,
+        )
+        if rows[-1]["sim_time_ms"] < sim.now:
+            snapshot(sim)
+    else:
+        sim.stop_reason = "target"
+    for row in rows:
+        _resolve(row)
+    return rows
+
+
+def _resolve(row: dict) -> float:
+    acc = row["accuracy"]
+    if isinstance(acc, Future):
+        acc = row["accuracy"] = acc.result()
+    return acc
 
 
 # -- run artifacts ------------------------------------------------------------

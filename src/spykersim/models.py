@@ -7,11 +7,12 @@ a single flat float64 vector; every operation here is a pure function that
 returns fresh arrays and never mutates its inputs.  ``local_training`` is a
 fused in-place kernel on a private copy; ``loss_and_grad``,
 ``local_sgd_step`` and ``sgd_step`` are the reference it is tested against.
+Likewise ``predict_into`` writes ``predict``'s classes into reused buffers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class TinyModel:
         return self.params.shape[0]
 
     def with_params(self, params: np.ndarray) -> "TinyModel":
-        return replace(self, params=params)
+        return TinyModel(self.kind, params, self.input_dim, self.n_classes, self.hidden_dim)
 
 
 def init_model(
@@ -136,6 +137,34 @@ def predict(m: TinyModel, X: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index."""
     z, _ = _logits(m, _check_batch(m, X))
     return np.argmax(z, axis=1)
+
+
+def predict_into(
+    m: TinyModel,
+    X: np.ndarray,
+    logits: np.ndarray,
+    hidden: np.ndarray | None,
+    out: np.ndarray,
+) -> np.ndarray:
+    """``predict`` into caller-owned buffers, for scoring one batch many times.
+
+    ``X`` is a float64 (n, input_dim) batch; ``logits`` is (n, n_classes),
+    ``hidden`` (n, hidden_dim) for the MLP and ``out`` an intp (n,) array.
+    The float64 operations and their order are those of ``predict``, so the
+    classes are identical; no array of batch size is allocated.
+    """
+    if m.kind == LOGREG:
+        w, b = _split_logreg(m)
+        np.matmul(X, w, out=logits)
+        logits += b
+    else:
+        w1, b1, w2, b2 = _split_mlp(m)
+        np.matmul(X, w1, out=hidden)
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        np.matmul(hidden, w2, out=logits)
+        logits += b2
+    return np.argmax(logits, axis=1, out=out)
 
 
 def loss(m: TinyModel, X: np.ndarray, y: np.ndarray) -> float:

@@ -109,6 +109,12 @@ class RunManifest:
     ring_order: tuple
     config_hash: str
     code_version: str
+    # The BLAS library, its thread count in the run (None when it cannot be
+    # read) and whether the one-thread pin took effect; parameters repeat
+    # across thread settings only when it did.
+    blas_library: str = ""
+    blas_threads: int | None = None
+    blas_pinned: bool = False
 
     def to_json(self) -> str:
         d = asdict(self)

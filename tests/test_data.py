@@ -113,6 +113,30 @@ class TestSynthetic:
         )
         assert dt.evaluate(m, test) >= 0.99
 
+    @pytest.mark.parametrize(
+        "seed, n, dim, classes",
+        [(0, 100, 4, 2), (5, 121, 6, 3), (9, 1003, 17, 10), (21, 50, 784, 7), (3, 60, 1, 12)],
+    )
+    def test_features_equal_the_float64_formula(self, seed, n, dim, classes):
+        # The block-wise float32 fill against building all of X in float64,
+        # permuting it and rounding once.
+        rng = np.random.default_rng(seed)
+        while True:
+            C = rng.normal(size=(classes, dim))
+            gaps = np.linalg.norm(C[:, None, :] - C[None, :, :], axis=-1)
+            np.fill_diagonal(gaps, np.inf)
+            if gaps.min() > 1e-9:
+                break
+        C *= 2.5 / gaps.min()
+        counts = [n // classes + (1 if k < n % classes else 0) for k in range(classes)]
+        X = np.concatenate([C[k] + rng.normal(size=(counts[k], dim)) for k in range(classes)])
+        y = np.concatenate([np.full(counts[k], k, dtype=np.int64) for k in range(classes)])
+        order = rng.permutation(n)
+        ds = dt.synthetic_dataset(seed, n, dim, classes, 2.5)
+        assert ds.features.dtype == np.float32
+        assert ds.features.tobytes() == X[order].astype(np.float32).tobytes()
+        np.testing.assert_array_equal(ds.labels, y[order])
+
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError):
             dt.synthetic_dataset(0, 10, 2, 1, 1.0)

@@ -86,6 +86,22 @@ class TestForward:
         with pytest.raises(ValueError):
             models.predict(m, np.zeros((2, m.input_dim + 1)))
 
+    @pytest.mark.parametrize("make", [make_logreg, make_mlp])
+    def test_predict_into_equals_predict(self, make):
+        m = make()
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(37, m.input_dim))
+        logits = np.full((37, m.n_classes), np.nan)
+        hidden = np.full((37, m.hidden_dim), np.nan) if m.kind == models.MLP else None
+        out = np.empty(37, dtype=np.intp)
+        for _ in range(2):  # buffers reused across calls
+            m = m.with_params(rng.normal(size=m.dim))
+            got = models.predict_into(m, X, logits, hidden, out)
+            assert got is out
+            np.testing.assert_array_equal(got, models.predict(m, X))
+            z, _ = models._logits(m, X)
+            assert logits.tobytes() == z.tobytes()
+
 
 class TestLossGrad:
     def test_uniform_model_loss_is_log_k(self):
@@ -263,6 +279,16 @@ class TestTinyModelDataclass:
         m = make_logreg()
         with pytest.raises(ValueError):
             m.with_params(np.zeros(3))
+
+    def test_with_params_keeps_the_shape_fields(self):
+        m = make_mlp()
+        p = np.ones(m.dim)
+        out = m.with_params(p)
+        assert out.params is p
+        assert out == TinyModel(m.kind, p, m.input_dim, m.n_classes, m.hidden_dim)
+        assert m.params is not p
+        with pytest.raises(ValueError):
+            m.with_params(np.ones((m.dim, 1)))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

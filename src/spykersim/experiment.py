@@ -2,9 +2,15 @@
 
 Turns a config into a wired topology (servers, clients, link model, seeds),
 runs it under a periodic evaluation hook, and emits the standard per-run
-artifacts: manifest.json, timeseries.csv, summary.json, trace-hash.txt.
-The event loop runs on the calling thread; the evaluations are scored on
-one worker thread per run, with BLAS pinned to one thread for the run.
+artifacts: manifest.json, timeseries.csv, summary.json, trace-hash.txt,
+model-hash.txt.
+
+The event loop runs on the calling thread, with BLAS pinned to one thread
+for the run.  Each run owns up to two worker threads: one scores the
+evaluations, and in MLP runs one trains the clients (``_training_worker``).
+Both read only parameter arrays that no one writes, and the loop waits for
+a result wherever it needs one, so every artifact is the same as with all
+work on one thread.
 
 All randomness is derived from the master seed through named seed tags, so a
 client's data order and training delay depend only on (master seed, client
@@ -14,6 +20,7 @@ index) and stay fixed when the algorithm or topology changes around it.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -311,6 +318,7 @@ class RunResult:
     summary: dict = field(default_factory=dict)
     trace_hash: str = ""
     built: BuiltExperiment | None = None
+    model_hash: str = ""
 
 
 class _Evaluator:
@@ -320,10 +328,11 @@ class _Evaluator:
     cloud parameters, or every spyker server's parameters and age.  Servers
     replace their parameter arrays and never write them, so a snapshot with
     the same arrays and ages scores the same model, and the previous
-    accuracy is reused.  Otherwise the worker scores it with the float64
+    result is reused.  Otherwise the worker scores it with the float64
     operations of ``BuiltExperiment.eval_model`` and ``data.evaluate``, in
-    the same order, into buffers allocated once.  A call returns the
-    accuracy's Future; calls on an unchanged snapshot share one.
+    the same order, into buffers allocated once, and takes the SHA-256 of
+    the model's ``<f8`` bytes.  A call returns a Future of (accuracy,
+    digest); calls on an unchanged snapshot share one.
     """
 
     def __init__(self, built: BuiltExperiment):
@@ -342,7 +351,7 @@ class _Evaluator:
         self.pred = np.empty(n, dtype=np.intp)
         self.hits = np.empty(n, dtype=bool)
         self._last: tuple | None = None
-        self._acc: Future | None = None
+        self._scored: Future | None = None
         self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-eval")
 
     def __call__(self) -> Future:
@@ -356,10 +365,10 @@ class _Evaluator:
         last = self._last
         if last is None or ages != last[1] or any(a is not b for a, b in zip(params, last[0])):
             self._last = (params, ages)
-            self._acc = self._pool.submit(self._score, params, ages)
-        return self._acc
+            self._scored = self._pool.submit(self._score, params, ages)
+        return self._scored
 
-    def _score(self, params: tuple, ages: tuple) -> float:
+    def _score(self, params: tuple, ages: tuple) -> tuple[float, bytes]:
         if self.pooled:
             stack = np.stack(params, out=self.stack)
             a = np.array(ages)
@@ -372,7 +381,8 @@ class _Evaluator:
             flat = params[0]
         model = self.built.template.with_params(flat)
         pred = predict_into(model, self.X, self.logits, self.hidden, self.pred)
-        return float(np.mean(np.equal(pred, self.labels, out=self.hits)))
+        acc = float(np.mean(np.equal(pred, self.labels, out=self.hits)))
+        return acc, hashlib.sha256(np.ascontiguousarray(flat, dtype="<f8")).digest()
 
     def close(self) -> None:
         self._pool.shutdown(wait=True, cancel_futures=True)
@@ -388,9 +398,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
             blas_pinned=blas.pinned,
         )
         evaluator = _Evaluator(built)
+        trainer = _training_worker(built)
         try:
-            rows = _run_rows(built, evaluator)
+            rows, model_hash = _run_rows(built, evaluator)
         finally:
+            if trainer is not None:
+                # Trainings still queued at the horizon are never read.
+                trainer.shutdown(wait=True, cancel_futures=True)
+                for client in built.clients:
+                    client.trainer = None
             evaluator.close()
 
     sim = built.sim
@@ -423,28 +439,45 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         "config_hash": built.manifest.config_hash,
         "config": to_dict(cfg),
     }
-    result = RunResult(cfg, built.manifest, rows, summary, sim.trace_hash(), built)
+    result = RunResult(cfg, built.manifest, rows, summary, sim.trace_hash(), built, model_hash)
     if out_dir is not None:
         write_run(result, out_dir)
     return result
 
 
-def _run_rows(built: BuiltExperiment, evaluator: _Evaluator) -> list[dict]:
-    """Run the simulation; one row per evaluation, accuracies resolved."""
+def _training_worker(built: BuiltExperiment) -> ThreadPoolExecutor | None:
+    """The run's training thread, given to every client, in MLP runs only.
+
+    An MLP training spends most of its time in BLAS calls that release the
+    interpreter lock, so it overlaps the event loop; a logistic-regression
+    training is mostly Python, and threading it made runs slower.
+    """
+    if built.template.kind != MLP:
+        return None
+    trainer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-train")
+    for client in built.clients:
+        client.trainer = trainer
+    return trainer
+
+
+def _run_rows(built: BuiltExperiment, evaluator: _Evaluator) -> tuple[list[dict], str]:
+    """Run the simulation; one row per evaluation, accuracies resolved, and
+    the model hash: the SHA-256 over every row's model digest, in order."""
     cfg, sim = built.cfg, built.sim
     rows: list[dict] = []
+    scores: list[Future] = []
 
     def snapshot(sim: Simulator) -> bool:
-        acc = evaluator()
+        scores.append(evaluator())
         updates = built.total_updates()
-        row = {"sim_time_ms": sim.now, "updates": updates, "accuracy": acc}
+        row = {"sim_time_ms": sim.now, "updates": updates, "accuracy": None}
         row["bytes_server_server"] = sim.bytes_by_class["server-server"]
         row["bytes_server_client"] = sim.bytes_by_class["server-client"]
         for s in built.servers:
             row[f"queue_{s.node_id}"] = sim.queue_length(s.node_id)
         rows.append(row)
         # Only the stop decision waits for the worker.
-        if cfg.target_accuracy is not None and _resolve(row) >= cfg.target_accuracy:
+        if cfg.target_accuracy is not None and scores[-1].result()[0] >= cfg.target_accuracy:
             return True
         if cfg.max_updates is not None and updates >= cfg.max_updates:
             return True
@@ -461,16 +494,11 @@ def _run_rows(built: BuiltExperiment, evaluator: _Evaluator) -> list[dict]:
             snapshot(sim)
     else:
         sim.stop_reason = "target"
-    for row in rows:
-        _resolve(row)
-    return rows
-
-
-def _resolve(row: dict) -> float:
-    acc = row["accuracy"]
-    if isinstance(acc, Future):
-        acc = row["accuracy"] = acc.result()
-    return acc
+    model_hash = hashlib.sha256()
+    for row, score in zip(rows, scores):
+        row["accuracy"], digest = score.result()
+        model_hash.update(digest)
+    return rows, model_hash.hexdigest()
 
 
 # -- run artifacts ------------------------------------------------------------
@@ -490,6 +518,8 @@ def write_run(result: RunResult, out_dir: str) -> None:
         f.write("\n")
     with open(os.path.join(out_dir, "trace-hash.txt"), "w") as f:
         f.write(result.trace_hash + "\n")
+    with open(os.path.join(out_dir, "model-hash.txt"), "w") as f:
+        f.write(result.model_hash + "\n")
 
 
 def read_timeseries(path: str) -> list[dict]:

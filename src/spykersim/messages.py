@@ -33,12 +33,29 @@ class ModelDispatch:
     lr: float
 
 
-@dataclass(frozen=True)
 class ClientUpdate:
-    """Client -> server: trained model plus the age echoed from the dispatch."""
+    """Client -> server: trained model plus the age echoed from the dispatch.
 
-    params: np.ndarray
-    age_sent: float
+    ``params`` may be given as a pending training, any object whose
+    ``result()`` returns the trained array; it is resolved the first time
+    ``params`` is read, which only servers do, on the event loop.
+    ``n_params`` is the parameter count known at dispatch, so sizing the
+    message never waits for a training.
+    """
+
+    __slots__ = ("_params", "age_sent", "n_params")
+
+    def __init__(self, params, age_sent: float, n_params: int | None = None):
+        self._params = params
+        self.age_sent = age_sent
+        self.n_params = len(params) if n_params is None else n_params
+
+    @property
+    def params(self) -> np.ndarray:
+        p = self._params
+        if not isinstance(p, np.ndarray):
+            p = self._params = p.result()
+        return p
 
 
 @dataclass(frozen=True)
@@ -90,13 +107,15 @@ class ReplayedUpdate:
     orig_src: int
 
 
-_MODEL_BEARING = frozenset({ModelDispatch, ClientUpdate, ModelBroadcast, EdgeReport, CloudModel})
+_MODEL_BEARING = frozenset({ModelDispatch, ModelBroadcast, EdgeReport, CloudModel})
 
 
 def payload_bytes(msg) -> int:
     # Dispatch on the exact type: message classes are final, and this runs
     # for every send.
     t = type(msg)
+    if t is ClientUpdate:
+        return PARAM_BYTES * msg.n_params + HEADER_BYTES
     if t in _MODEL_BEARING:
         return PARAM_BYTES * len(msg.params) + HEADER_BYTES
     if t is AgeBroadcast:

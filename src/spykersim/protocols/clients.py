@@ -3,17 +3,49 @@
 A client idles until its home server dispatches a model, spends its fixed
 training delay (sampled once at topology build) times the epoch count in
 "service", then returns the trained parameters echoing the dispatched age.
+
+The training itself runs inline, or, when the run gives the client a
+``trainer`` (one worker thread, for MLP runs), on that thread: the update
+is sent at once with the training pending and is resolved when the home
+server reads its parameters.  A job reads only the dispatched parameters,
+which are read-only, the client's fixed shard and a generator seeded from
+(client seed, dispatch round), so its result does not depend on which
+thread runs it or when.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
+from functools import partial
+
 import numpy as np
 
+from .. import models
 from ..data import Dataset
 from ..errors import NumericsError, ProtocolViolation
 from ..messages import ClientUpdate, ModelDispatch
-from ..models import TinyModel, local_training
+from ..models import TinyModel
 from ..simulation import CLIENT, Node, Simulator
+
+
+class _Training:
+    """One dispatch's training job, submitted to the run's training worker.
+
+    ``result()`` waits for the worker when the job has started; a job still
+    queued is cancelled and run by the caller, so a server never waits
+    behind trainings that are not due yet.
+    """
+
+    __slots__ = ("job", "future")
+
+    def __init__(self, trainer: Executor, job: partial):
+        self.job = job
+        self.future = trainer.submit(job)
+
+    def result(self) -> np.ndarray:
+        if self.future.cancel():
+            return self.job()
+        return self.future.result()
 
 
 class TrainingClient(Node):
@@ -43,6 +75,7 @@ class TrainingClient(Node):
         self._X = shard.features64
         self._y = shard.labels
         self._round = 0
+        self.trainer: Executor | None = None
 
     def service_ms(self, sim: Simulator, msg, src: int) -> float:
         return self.training_delay_ms * self.epochs
@@ -54,17 +87,28 @@ class TrainingClient(Node):
             )
         if not isinstance(msg, ModelDispatch):
             raise ProtocolViolation(f"client cannot handle {type(msg).__name__}")
+        dispatch = self._round
+        self._round += 1
+        params = msg.params
+        # The job may read these on another thread while the server moves
+        # on; a write into them now raises instead of racing it.
+        params.setflags(write=False)
+        if self.trainer is None:
+            trained = self._train(params, msg.lr, dispatch)
+        else:
+            trained = _Training(self.trainer, partial(self._train, params, msg.lr, dispatch))
+        sim.send(self.node_id, self.home_server, ClientUpdate(trained, msg.age, len(params)))
+
+    def _train(self, params: np.ndarray, lr: float, dispatch: int) -> np.ndarray:
         # One generator per dispatch keeps shuffles replayable by an
         # out-of-simulator reference implementation.
-        dispatch = self._round
         rng = np.random.default_rng([self.seed, dispatch])
-        self._round += 1
         try:
-            trained = local_training(
-                self.template.with_params(msg.params),
+            trained = models.local_training(
+                self.template.with_params(params),
                 self._X,
                 self._y,
-                msg.lr,
+                lr,
                 self.epochs,
                 self.batch_size,
                 rng,
@@ -72,8 +116,9 @@ class TrainingClient(Node):
         except NumericsError as err:
             raise NumericsError(
                 f"client {self.node_id} (home server {self.home_server}) trained dispatch "
-                f"round {dispatch} at lr {msg.lr} into a non-finite model: first non-finite "
+                f"round {dispatch} at lr {lr} into a non-finite model: first non-finite "
                 f"component {err.index}",
                 index=err.index,
             ) from err
-        sim.send(self.node_id, self.home_server, ClientUpdate(trained.params, msg.age))
+        trained.params.setflags(write=False)
+        return trained.params

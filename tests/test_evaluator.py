@@ -1,11 +1,13 @@
 """The run's evaluator: worker-thread scoring, skipped repeats, BLAS pinning,
 and parameters that repeat across processes and BLAS thread settings."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -32,15 +34,19 @@ def tiny(algorithm: str, *extra: str):
 
 
 class SequentialEvaluator:
-    """The reference: ``data.evaluate`` of a copy of the eval model, scored
-    on the calling thread at every evaluation."""
+    """The reference: ``data.evaluate`` of a copy of the eval model, and the
+    SHA-256 of its ``<f8`` bytes, on the calling thread at every evaluation."""
 
     def __init__(self, built):
         self.built = built
 
     def __call__(self):
         m = self.built.eval_model()
-        return evaluate(m.with_params(m.params.copy()), self.built.test)
+        params = m.params.copy()
+        digest = hashlib.sha256(params.astype("<f8").tobytes()).digest()
+        done = Future()
+        done.set_result((evaluate(m.with_params(params), self.built.test), digest))
+        return done
 
     def close(self):
         pass
@@ -56,6 +62,7 @@ def assert_same_run(got, want):
     assert got.rows == want.rows
     assert got.summary == want.summary
     assert got.trace_hash == want.trace_hash
+    assert got.model_hash == want.model_hash
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -205,6 +212,7 @@ def _child_run(out: Path, threads: str, hashseed: str) -> dict:
         "params": done.stdout.strip(),
         "trace": (out / "trace-hash.txt").read_text(),
         "timeseries": (out / "timeseries.csv").read_bytes(),
+        "model": (out / "model-hash.txt").read_text(),
     }
 
 
@@ -215,5 +223,5 @@ def test_parameters_repeat_across_processes_and_blas_threads(tmp_path):
     # end with different parameters.)
     a = _child_run(tmp_path / "a", "1", "0")
     b = _child_run(tmp_path / "b", "2", "1")
-    assert len(a["params"]) == 64
+    assert len(a["params"]) == 64 and len(a["model"]) == 65
     assert a == b

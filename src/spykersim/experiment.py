@@ -6,11 +6,15 @@ artifacts: manifest.json, timeseries.csv, summary.json, trace-hash.txt,
 model-hash.txt.
 
 The event loop runs on the calling thread, with BLAS pinned to one thread
-for the run.  Each run owns up to two worker threads: one scores the
-evaluations, and in MLP runs one trains the clients (``_training_worker``).
-Both read only parameter arrays that no one writes, and the loop waits for
-a result wherever it needs one, so every artifact is the same as with all
-work on one thread.
+for the run.  Each run owns up to two workers: a thread that scores the
+evaluations, and one that trains the clients (``_training_worker``): a
+thread in MLP runs, a forked process in logistic-regression runs.  The
+process is a fork of the built run, so it holds the same clients, shards,
+seeds and BLAS pin, and a process-shared lock gives each training job to
+exactly one side.  Worker threads read only parameter arrays that no one
+writes, the process runs the same training on the same inputs as the
+loop, and the loop waits for a result wherever it needs one, so every
+artifact is the same as with all work on one thread.
 
 All randomness is derived from the master seed through named seed tags, so a
 client's data order and training delay depend only on (master seed, client
@@ -23,8 +27,11 @@ import csv
 import hashlib
 import json
 import os
+import threading
+from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +66,7 @@ from .simulation import (
     Simulator,
     uniform_latency_ms,
 )
+from .training_process import TrainingProcess
 
 # Seed tags; one namespace per purpose keeps streams independent.
 _DATA, _SPLIT, _PARTITION, _MODEL, _RING, _SELECT = 11, 12, 13, 14, 15, 16
@@ -397,17 +405,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
             blas_threads=blas.threads,
             blas_pinned=blas.pinned,
         )
-        evaluator = _Evaluator(built)
-        trainer = _training_worker(built)
+        stop_training = _training_worker(built)
         try:
-            rows, model_hash = _run_rows(built, evaluator)
+            evaluator = _Evaluator(built)
+            try:
+                rows, model_hash = _run_rows(built, evaluator)
+            finally:
+                evaluator.close()
         finally:
-            if trainer is not None:
+            if stop_training is not None:
                 # Trainings still queued at the horizon are never read.
-                trainer.shutdown(wait=True, cancel_futures=True)
+                stop_training()
                 for client in built.clients:
                     client.trainer = None
-            evaluator.close()
 
     sim = built.sim
     accs = [r["accuracy"] for r in rows]
@@ -445,19 +455,37 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     return result
 
 
-def _training_worker(built: BuiltExperiment) -> ThreadPoolExecutor | None:
-    """The run's training thread, given to every client, in MLP runs only.
+def _training_worker(built: BuiltExperiment) -> Callable[[], None] | None:
+    """Start the run's training worker and give it to every client; return
+    the function that stops it, or None when training stays inline.
 
     An MLP training spends most of its time in BLAS calls that release the
-    interpreter lock, so it overlaps the event loop; a logistic-regression
-    training is mostly Python, and threading it made runs slower.
+    interpreter lock, so MLP runs train on one thread.  A logistic-regression
+    training is mostly Python, which a thread would run under the same lock
+    as the loop, so it goes to one forked process (``TrainingProcess``),
+    where ``os.fork`` exists, the process may use two CPUs and no other
+    thread runs (a fork copies only the calling thread, so a lock another
+    thread holds would stay locked in the child).  The fork comes after the
+    build and before the evaluator starts its thread, so the child holds
+    the run's clients, shards, seeds and BLAS pin as they are.
     """
-    if built.template.kind != MLP:
+    if built.template.kind == MLP:
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-train")
+        for client in built.clients:
+            client.trainer = pool
+        return partial(pool.shutdown, wait=True, cancel_futures=True)
+    if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() > 1:
         return None
-    trainer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-train")
-    for client in built.clients:
-        client.trainer = trainer
-    return trainer
+    proc = TrainingProcess(built.clients)
+    for i, client in enumerate(built.clients):
+        client.trainer = proc.slot(i)
+    return proc.close
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_rows(built: BuiltExperiment, evaluator: _Evaluator) -> tuple[list[dict], str]:

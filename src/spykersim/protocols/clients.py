@@ -5,12 +5,14 @@ training delay (sampled once at topology build) times the epoch count in
 "service", then returns the trained parameters echoing the dispatched age.
 
 The training itself runs inline, or, when the run gives the client a
-``trainer`` (one worker thread, for MLP runs), on that thread: the update
-is sent at once with the training pending and is resolved when the home
-server reads its parameters.  A job reads only the dispatched parameters,
-which are read-only, the client's fixed shard and a generator seeded from
-(client seed, dispatch round), so its result does not depend on which
-thread runs it or when.
+``trainer`` (a worker thread in MLP runs, a slot of the run's forked
+``TrainingProcess`` in logistic-regression runs), on that worker: the
+update is sent at once with the training pending and is resolved when the
+home server reads its parameters; a training the worker has not started is
+run by the reader.  A job reads only the dispatched parameters, which are
+read-only, the client's fixed shard and a generator seeded from (client
+seed, dispatch round), and each job runs exactly once, so its result does
+not depend on which thread or process runs it, or when.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class TrainingClient(Node):
         self._X = shard.features64
         self._y = shard.labels
         self._round = 0
-        self.trainer: Executor | None = None
+        # An Executor, or this client's slot of a TrainingProcess.
+        self.trainer = None
 
     def service_ms(self, sim: Simulator, msg, src: int) -> float:
         return self.training_delay_ms * self.epochs
@@ -95,8 +98,10 @@ class TrainingClient(Node):
         params.setflags(write=False)
         if self.trainer is None:
             trained = self._train(params, msg.lr, dispatch)
-        else:
+        elif isinstance(self.trainer, Executor):
             trained = _Training(self.trainer, partial(self._train, params, msg.lr, dispatch))
+        else:
+            trained = self.trainer.submit(self._train, params, msg.lr, dispatch)
         sim.send(self.node_id, self.home_server, ClientUpdate(trained, msg.age, len(params)))
 
     def _train(self, params: np.ndarray, lr: float, dispatch: int) -> np.ndarray:

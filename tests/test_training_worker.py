@@ -3,6 +3,7 @@ training, updates resolved when a server reads them, errors that name the
 client, and no thread left behind."""
 
 import hashlib
+import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -177,15 +178,30 @@ def test_threads_end_with_the_run(monkeypatch):
 
 def test_logistic_regression_starts_no_training_thread(monkeypatch):
     names = set()
+    trainers = set()
+    pids = []
     handle = TrainingClient.handle
+    fork = os.fork
 
     def watched(self, sim, src, msg):
         names.update(train_names())
-        assert self.trainer is None
+        trainers.add(type(self.trainer).__name__)
         return handle(self, sim, src, msg)
 
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
     monkeypatch.setattr(TrainingClient, "handle", watched)
+    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
     cfg = from_dict({"preset": "desk-synth", "seed": 3, "horizon_ms": 1000.0})
     assert cfg.model_kind == models.LOGREG
     assert run_experiment(cfg).summary["updates"] > 0
     assert names == set()
+    # Every dispatch went to one forked training process, which is reaped.
+    assert trainers == {"_Slot"} and len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)

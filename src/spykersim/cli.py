@@ -12,7 +12,14 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import DATA_ROOT_ENV, ExperimentConfig, apply_overrides, from_dict, load_config
+from .config import (
+    ALGORITHMS,
+    DATA_ROOT_ENV,
+    ExperimentConfig,
+    apply_overrides,
+    from_dict,
+    load_config,
+)
 from .errors import ConfigError
 from .experiment import run_experiment
 from .suites import (
@@ -130,7 +137,7 @@ def _show(command: str, res: dict, where: str) -> None:
     elif command == "histogram":
         print(f"updates/client: mean={res['mean']:.1f} cv={res['cv']:.3f}")
     elif command == "bandwidth":
-        for alg in ("spyker", "sync-spyker", "fedavg", "fedasync", "hierfavg"):
+        for alg in ALGORITHMS:
             if alg in res:
                 print(f"{alg}: {res[alg]['total_bytes'] / 1e6:.2f} MB")
     else:

@@ -8,10 +8,11 @@ model-hash.txt.
 The event loop runs on the calling thread, with BLAS pinned to one thread
 for the run.  Each run owns up to two workers: a thread that scores the
 evaluations, and one that trains the clients (``_training_worker``): a
-thread in MLP runs, a forked process in logistic-regression runs.  The
-process is a fork of the built run, so it holds the same clients, shards,
-seeds and BLAS pin, and a process-shared lock gives each training job to
-exactly one side.  Worker threads read only parameter arrays that no one
+thread in MLP runs, a forked process in logistic-regression runs, each
+given to every client as its ``trainer`` callable.  The process is a
+fork of the built run, so it holds the same clients, shards, seeds and
+BLAS pin, and a process-shared lock gives each training job to exactly
+one side.  Worker threads read only parameter arrays that no one
 writes, the process runs the same training on the same inputs as the
 loop, and the loop waits for a result wherever it needs one, so every
 artifact is the same as with all work on one thread.
@@ -29,7 +30,7 @@ import json
 import os
 import threading
 from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -58,7 +59,7 @@ from .protocols import (
     SyncSpykerServer,
     TrainingClient,
 )
-from .protocols.spyker import SpykerBase
+from .protocols.clients import train_inline
 from .simulation import (
     AWS4_LATENCY_MS,
     LinkModel,
@@ -150,11 +151,8 @@ class BuiltExperiment:
         return out
 
     def eval_model(self) -> TinyModel:
-        alg = self.cfg.algorithm
-        if alg == "hierfavg":
-            return self.cloud.model
-        if alg in ("fedavg", "fedasync"):
-            return self.servers[0].model
+        if self.cfg.algorithm not in SPYKER_MERGE:
+            return (self.cloud if self.cloud is not None else self.servers[0]).model
         stack = np.stack([s.model.params for s in self.servers])
         ages = np.array([s.age for s in self.servers])
         if self.cfg.eval_target == "mean" or ages.sum() <= 0:
@@ -417,7 +415,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
                 # Trainings still queued at the horizon are never read.
                 stop_training()
                 for client in built.clients:
-                    client.trainer = None
+                    client.trainer = train_inline
 
     sim = built.sim
     accs = [r["accuracy"] for r in rows]
@@ -444,7 +442,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         "total_bytes": sim.total_bytes,
         "client_updates": {str(k): v for k, v in sorted(built.client_update_counts().items())},
         "age_clamps": {
-            str(s.node_id): s.age_clamps for s in built.servers if isinstance(s, SpykerBase)
+            str(s.node_id): s.age_clamps for s in built.servers if cfg.algorithm in SPYKER_MERGE
         },
         "config_hash": built.manifest.config_hash,
         "config": to_dict(cfg),
@@ -472,14 +470,34 @@ def _training_worker(built: BuiltExperiment) -> Callable[[], None] | None:
     if built.template.kind == MLP:
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-train")
         for client in built.clients:
-            client.trainer = pool
+            client.trainer = partial(_Training, pool)
         return partial(pool.shutdown, wait=True, cancel_futures=True)
     if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() > 1:
         return None
     proc = TrainingProcess(built.clients)
     for i, client in enumerate(built.clients):
-        client.trainer = proc.slot(i)
+        client.trainer = partial(proc.submit, i)
     return proc.close
+
+
+class _Training:
+    """One dispatch's training job on the run's training thread.
+
+    ``result()`` waits for the thread when the job has started; a job still
+    queued is cancelled and run by the caller, so a server never waits
+    behind trainings that are not due yet.
+    """
+
+    __slots__ = ("job", "future")
+
+    def __init__(self, pool: Executor, train, params: np.ndarray, lr: float, dispatch: int):
+        self.job = partial(train, params, lr, dispatch)
+        self.future = pool.submit(self.job)
+
+    def result(self) -> np.ndarray:
+        if self.future.cancel():
+            return self.job()
+        return self.future.result()
 
 
 def _usable_cpus() -> int:
@@ -548,12 +566,6 @@ def write_run(result: RunResult, out_dir: str) -> None:
         f.write(result.trace_hash + "\n")
     with open(os.path.join(out_dir, "model-hash.txt"), "w") as f:
         f.write(result.model_hash + "\n")
-
-
-def read_timeseries(path: str) -> list[dict]:
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        return [{k: float(v) for k, v in row.items()} for row in reader]
 
 
 def read_summary(path: str) -> dict:

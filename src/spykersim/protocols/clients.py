@@ -4,11 +4,12 @@ A client idles until its home server dispatches a model, spends its fixed
 training delay (sampled once at topology build) times the epoch count in
 "service", then returns the trained parameters echoing the dispatched age.
 
-The training itself runs inline, or, when the run gives the client a
-``trainer`` (a worker thread in MLP runs, a slot of the run's forked
-``TrainingProcess`` in logistic-regression runs), on that worker: the
-update is sent at once with the training pending and is resolved when the
-home server reads its parameters; a training the worker has not started is
+The training goes through the client's ``trainer``, called as
+``trainer(train, params, lr, dispatch)``.  The default, ``train_inline``,
+runs it at once; the run's training worker (a thread in MLP runs, the
+run's forked ``TrainingProcess`` in logistic-regression runs) returns a
+pending job instead: the update is sent at once and is resolved when the
+home server reads its parameters, and a job the worker has not started is
 run by the reader.  A job reads only the dispatched parameters, which are
 read-only, the client's fixed shard and a generator seeded from (client
 seed, dispatch round), and each job runs exactly once, so its result does
@@ -16,9 +17,6 @@ not depend on which thread or process runs it, or when.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import Executor
-from functools import partial
 
 import numpy as np
 
@@ -30,24 +28,9 @@ from ..models import TinyModel
 from ..simulation import CLIENT, Node, Simulator
 
 
-class _Training:
-    """One dispatch's training job, submitted to the run's training worker.
-
-    ``result()`` waits for the worker when the job has started; a job still
-    queued is cancelled and run by the caller, so a server never waits
-    behind trainings that are not due yet.
-    """
-
-    __slots__ = ("job", "future")
-
-    def __init__(self, trainer: Executor, job: partial):
-        self.job = job
-        self.future = trainer.submit(job)
-
-    def result(self) -> np.ndarray:
-        if self.future.cancel():
-            return self.job()
-        return self.future.result()
+def train_inline(train, params: np.ndarray, lr: float, dispatch: int) -> np.ndarray:
+    """The default trainer: run the job now, on the calling thread."""
+    return train(params, lr, dispatch)
 
 
 class TrainingClient(Node):
@@ -77,8 +60,7 @@ class TrainingClient(Node):
         self._X = shard.features64
         self._y = shard.labels
         self._round = 0
-        # An Executor, or this client's slot of a TrainingProcess.
-        self.trainer = None
+        self.trainer = train_inline
 
     def service_ms(self, sim: Simulator, msg, src: int) -> float:
         return self.training_delay_ms * self.epochs
@@ -96,12 +78,7 @@ class TrainingClient(Node):
         # The job may read these on another thread while the server moves
         # on; a write into them now raises instead of racing it.
         params.setflags(write=False)
-        if self.trainer is None:
-            trained = self._train(params, msg.lr, dispatch)
-        elif isinstance(self.trainer, Executor):
-            trained = _Training(self.trainer, partial(self._train, params, msg.lr, dispatch))
-        else:
-            trained = self.trainer.submit(self._train, params, msg.lr, dispatch)
+        trained = self.trainer(self._train, params, msg.lr, dispatch)
         sim.send(self.node_id, self.home_server, ClientUpdate(trained, msg.age, len(params)))
 
     def _train(self, params: np.ndarray, lr: float, dispatch: int) -> np.ndarray:

@@ -59,19 +59,18 @@ class LinkModel:
     """Latency matrix + shared per-link bandwidth + FIFO delivery state."""
 
     latency_ms: np.ndarray
-    locations: tuple[str, ...] = LOCATIONS
     bandwidth_bps: float = 100e6
     last_delivery: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = np.asarray(self.latency_ms, dtype=np.float64)
-        n = len(self.locations)
+        n = len(LOCATIONS)
         if m.shape != (n, n):
             raise ConfigError(f"latency matrix must be {n}x{n}, got {m.shape}")
         if np.any(m < 0) or not np.all(np.isfinite(m)):
             raise ConfigError("latency entries must be finite and non-negative")
         self.latency_ms = m
-        self._index = {loc: i for i, loc in enumerate(self.locations)}
+        self._index = {loc: i for i, loc in enumerate(LOCATIONS)}
 
     def latency_between(self, src_loc: str, dst_loc: str) -> float:
         try:

@@ -15,7 +15,7 @@ from statistics import median
 
 import numpy as np
 
-from .config import SINGLE_SERVER, ExperimentConfig
+from .config import ALGORITHMS, SINGLE_SERVER, ExperimentConfig
 from .errors import ConfigError
 from .experiment import RunResult, run_experiment, time_to_accuracy, updates_to_accuracy
 
@@ -39,6 +39,7 @@ def _run(cfg: ExperimentConfig, out_dir: str | None, name: str) -> RunResult:
 
 
 UNREACHED = "unreached"
+SCALABILITY_ALGORITHMS = ("spyker", "fedavg", "fedasync")
 
 
 def latency_comparison(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
@@ -57,7 +58,6 @@ def latency_comparison(cfg: ExperimentConfig, out_dir: str | None = None) -> dic
 def scalability_suite(
     cfg: ExperimentConfig,
     client_counts: tuple[int, ...] = (40, 80),
-    algorithms: tuple[str, ...] = ("spyker", "fedavg", "fedasync"),
     target: float | None = None,
     out_dir: str | None = None,
 ) -> dict:
@@ -75,7 +75,7 @@ def scalability_suite(
     table: dict = {"target_accuracy": target, "base_clients": client_counts[0], "clients": {}}
     for count in client_counts:
         row = {}
-        for alg in algorithms:
+        for alg in SCALABILITY_ALGORITHMS:
             run_cfg = replace(variant(cfg, alg, count), target_accuracy=target)
             res = _run(run_cfg, out_dir, f"{alg}-{count}")
             row[alg] = {
@@ -113,7 +113,7 @@ def scalability_suite(
             }
             for count in client_counts
         }
-        for alg in algorithms
+        for alg in SCALABILITY_ALGORITHMS
     }
     return table
 
@@ -169,7 +169,6 @@ def update_histogram(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 def bandwidth_report(
     cfg: ExperimentConfig,
     window_ms: float = 110_000.0,
-    algorithms: tuple[str, ...] = ("spyker", "sync-spyker", "fedavg", "fedasync", "hierfavg"),
     out_dir: str | None = None,
 ) -> dict:
     """Bytes on the wire per algorithm over the window [0, window_ms]."""
@@ -185,7 +184,7 @@ def bandwidth_report(
             ss, sc = row["bytes_server_server"], row["bytes_server_client"]
         return ss, sc
 
-    for alg in algorithms:
+    for alg in ALGORITHMS:
         run_cfg = replace(variant(cfg, alg), target_accuracy=None, max_updates=None)
         if run_cfg.horizon_ms < end:
             run_cfg = replace(run_cfg, horizon_ms=end)

@@ -5,9 +5,9 @@ so the child holds the same clients, shards, seeds and BLAS pin as the
 loop (and any monkeypatch in place).  Each client owns one slot of an
 anonymous shared ``mmap``: the dispatched parameters, which the child
 overwrites with the trained ones, and a record of the job's lr, dispatch
-round and state.  The loop posts a job by filling the slot and writing the
-slot index to a request pipe, and the client sends its update at once with
-the job pending.
+round and state.  Client i's trainer is ``partial(proc.submit, i)``: it
+posts a job by filling the slot and writing the slot index to a request
+pipe, and the client sends its update at once with the job pending.
 
 A process-shared lock decides who runs each job, so every job runs exactly
 once.  The child claims a job that is still queued and reads its lr and
@@ -21,8 +21,12 @@ same inputs, so a result does not depend on who ran it or when.  A job
 that fails in the child is run again by its reader, which raises the same
 error as inline training.
 
-Both sides spin for about 2 ms before they block, because right after a
-sleep a ~100 µs job takes about twice as long on a virtualised host.
+After every job the child writes one byte to a done pipe, and a reader
+waiting for the child blocks on that pipe; a byte that finds the pipe
+full is dropped, since the bytes already there wake the reader, which then
+checks its job's state again.  Both sides spin for about 2 ms before they
+block, because right after a sleep a ~100 µs job takes about twice as long
+on a virtualised host.
 """
 
 from __future__ import annotations
@@ -47,20 +51,19 @@ perf = time.perf_counter
 
 
 class TrainingProcess:
-    """One forked trainer for a run's clients; ``slot(i)`` is client i's
-    ``trainer``.  ``close()`` kills and reaps the child and drops every job
-    it has not finished."""
+    """One forked trainer for a run's clients; ``partial(submit, i)`` is
+    client i's ``trainer``.  ``close()`` kills and reaps the child and drops
+    every job it has not finished."""
 
     def __init__(self, clients: list):
         n, dim = len(clients), clients[0].template.dim
-        self._mm = mmap.mmap(-1, 8 * (1 + 3 * n + n * dim))
+        self._mm = mmap.mmap(-1, 8 * (3 * n + n * dim))
         words = memoryview(self._mm)
-        # [waiting] [state x n] [dispatch round x n] [lr x n] [params x n x dim]
-        self._waiting = words[:8].cast("q")
-        self._state = words[8 : 8 * (1 + n)].cast("q")
-        self._round = words[8 * (1 + n) : 8 * (1 + 2 * n)].cast("q")
-        self._lr = words[8 * (1 + 2 * n) : 8 * (1 + 3 * n)].cast("d")
-        self._params = np.ndarray((n, dim), np.float64, self._mm, 8 * (1 + 3 * n))
+        # [state x n] [dispatch round x n] [lr x n] [params x n x dim]
+        self._state = words[: 8 * n].cast("q")
+        self._round = words[8 * n : 8 * 2 * n].cast("q")
+        self._lr = words[8 * 2 * n : 8 * 3 * n].cast("d")
+        self._params = np.ndarray((n, dim), np.float64, self._mm, 8 * 3 * n)
         words.release()
         self._lock = multiprocessing.get_context("fork").Lock()
         self._requests = [np.int32(i).tobytes() for i in range(n)]
@@ -89,9 +92,6 @@ class TrainingProcess:
         os.close(req_r)
         os.close(done_w)
 
-    def slot(self, i: int) -> "_Slot":
-        return _Slot(self, i)
-
     # -- the child ------------------------------------------------------------
 
     def _serve(self, clients: list, req_r: int, done_w: int) -> None:
@@ -101,6 +101,7 @@ class TrainingProcess:
         gc.freeze()
         parent = os.getppid()
         os.set_blocking(req_r, False)
+        os.set_blocking(done_w, False)
         idle_since = perf()
         while True:
             try:
@@ -133,11 +134,11 @@ class TrainingProcess:
             outcome = DONE
         self._acquire_in_child(parent)
         self._state[i] = outcome
-        wake = self._waiting[0]
-        self._waiting[0] = 0
         self._lock.release()
-        if wake:
+        try:
             os.write(done_w, b"\0")
+        except BlockingIOError:
+            pass  # a full pipe already holds wake-ups
 
     def _acquire_in_child(self, parent: int) -> None:
         while not self._lock.acquire(timeout=LOCK_CHECK_S):
@@ -146,7 +147,10 @@ class TrainingProcess:
 
     # -- the loop -------------------------------------------------------------
 
-    def _post(self, i: int, train, params: np.ndarray, lr: float, dispatch: int) -> "_Job":
+    def submit(self, i: int, train, params: np.ndarray, lr: float, dispatch: int) -> "_Job":
+        """Post client i's job ``train(params, lr, dispatch)``, where ``train``
+        is that client's ``_train``; the child runs its own copy of the same
+        client."""
         prev = self._jobs[i]
         if prev is not None:
             # The slot may still hold an unread result; take it before reuse.
@@ -209,7 +213,7 @@ class TrainingProcess:
             if self._help():
                 spin_until = perf() + SPIN_S
             elif perf() > spin_until:
-                self._sleep(i)
+                self._sleep()
         self._acquire()
         outcome = state[i]
         state[i] = IDLE
@@ -236,16 +240,9 @@ class TrainingProcess:
                 return True
         return False
 
-    def _sleep(self, i: int) -> None:
-        self._acquire()
-        running = self._state[i] == RUNNING
-        if running:
-            self._waiting[0] = 1
-        self._lock.release()
-        if running:
-            select.select([self._done_r], [], [])
-            if not os.read(self._done_r, 64):
-                raise self._died("died while training")
+    def _sleep(self) -> None:
+        if not os.read(self._done_r, 4096):
+            raise self._died("died while training")
 
     def _acquire(self) -> None:
         while not self._lock.acquire(timeout=LOCK_CHECK_S):
@@ -289,25 +286,10 @@ class TrainingProcess:
         self._unmap()
 
     def _unmap(self) -> None:
-        for view in (self._waiting, self._state, self._round, self._lr):
+        for view in (self._state, self._round, self._lr):
             view.release()
         self._params = None
         self._mm.close()
-
-
-class _Slot:
-    """Client i's trainer.  ``submit(train, params, lr, dispatch)`` posts the
-    job ``train(params, lr, dispatch)``, where ``train`` is that client's
-    ``_train``; the child runs its own copy of the same client."""
-
-    __slots__ = ("proc", "i")
-
-    def __init__(self, proc: TrainingProcess, i: int):
-        self.proc = proc
-        self.i = i
-
-    def submit(self, train, params: np.ndarray, lr: float, dispatch: int) -> "_Job":
-        return self.proc._post(self.i, train, params, lr, dispatch)
 
 
 class _Job:

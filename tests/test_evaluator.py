@@ -14,7 +14,7 @@ import pytest
 
 import spykersim.blas as blas
 import spykersim.experiment as experiment
-from spykersim.config import ALGORITHMS, apply_overrides, from_dict
+from spykersim.config import ALGORITHMS, SINGLE_SERVER, apply_overrides, from_dict
 from spykersim.data import evaluate
 from spykersim.experiment import run_experiment
 from spykersim.simulation import RunManifest
@@ -29,7 +29,7 @@ bundled_openblas = pytest.mark.skipif(
 def tiny(algorithm: str, *extra: str):
     """The CLI tests' TINY config for one algorithm."""
     overrides = [TINY[i + 1] for i in range(0, len(TINY), 2)]
-    overrides += [f"algorithm={algorithm}", f"n_servers={1 if algorithm in ('fedavg', 'fedasync') else 4}"]
+    overrides += [f"algorithm={algorithm}", f"n_servers={1 if algorithm in SINGLE_SERVER else 4}"]
     return apply_overrides(from_dict({"preset": "desk-synth"}), overrides + list(extra))
 
 

@@ -1,16 +1,18 @@
 """Topology wiring, artifact round-trips, and determinism of full runs."""
 
+import csv
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from spykersim.config import DATA_ROOT_ENV, LOCATIONS, from_dict
+from spykersim.config import DATA_ROOT_ENV, LOCATIONS, SINGLE_SERVER, from_dict
 from spykersim.errors import ConfigError
 from spykersim.experiment import (
     build_experiment,
     load_task,
+    read_summary,
     run_experiment,
     time_to_accuracy,
     updates_to_accuracy,
@@ -32,7 +34,7 @@ def tiny(algorithm="spyker", **overrides):
         "eval_interval_ms": 500.0,
         "hyper": {"batch_size": 8},
     }
-    if algorithm in ("fedavg", "fedasync"):
+    if algorithm in SINGLE_SERVER:
         raw["n_servers"] = 1
     raw.update(overrides)
     return from_dict(raw)
@@ -167,11 +169,11 @@ def test_write_and_read_round_trip(tmp_path):
     for name in ("manifest.json", "timeseries.csv", "summary.json", "trace-hash.txt"):
         assert (out / name).exists()
     rows = res.rows
-    back = __import__("spykersim.experiment", fromlist=["read_timeseries"])
-    ts = back.read_timeseries(str(out / "timeseries.csv"))
+    with open(out / "timeseries.csv", newline="") as f:
+        ts = list(csv.DictReader(f))
     assert len(ts) == len(rows)
-    assert ts[3]["accuracy"] == rows[3]["accuracy"]
-    summary = back.read_summary(str(out / "summary.json"))
+    assert float(ts[3]["accuracy"]) == rows[3]["accuracy"]
+    summary = read_summary(str(out / "summary.json"))
     assert summary["final_accuracy"] == res.summary["final_accuracy"]
     assert (out / "trace-hash.txt").read_text().strip() == res.trace_hash
     manifest = RunManifest.from_json((out / "manifest.json").read_text())

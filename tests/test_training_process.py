@@ -2,12 +2,16 @@
 same runs as inline training, each job run once with its own lr and
 dispatch round, errors that name the client, and no process left behind."""
 
+import fcntl
 import multiprocessing
 import os
 import re
 import signal
+import struct
+import termios
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -112,7 +116,7 @@ def test_jobs_read_in_any_order_equal_inline_training(forks):
     deadline = time.monotonic() + 60
     try:
         for i, c in enumerate(clients):
-            c.trainer = proc.slot(i)
+            c.trainer = partial(proc.submit, i)
         for k in range(3):
             outbox = Outbox()
             for c in clients:
@@ -165,7 +169,7 @@ def test_a_stale_request_trains_the_current_job(monkeypatch, forks):
 
     proc = TrainingProcess(built.clients)
     try:
-        busy.trainer, client.trainer = proc.slot(0), proc.slot(1)
+        busy.trainer, client.trainer = partial(proc.submit, 0), partial(proc.submit, 1)
         outbox = Outbox()
         busy.handle(outbox, busy.home_server, ModelDispatch(first, 0.0, HOLD_LR))
         wait_for_state(proc, 0, RUNNING)
@@ -184,6 +188,72 @@ def test_a_stale_request_trains_the_current_job(monkeypatch, forks):
     finally:
         gate.set()
         proc.close()
+    assert_reaped(forks)
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipe size cannot be set")
+def test_a_full_done_pipe_loses_no_wake_up(monkeypatch, forks):
+    """The child finishes more jobs than the run's shrunken done pipe holds
+    while the loop never sleeps, so later wake-ups find the pipe full; the
+    loop then waits for a running job and gets the inline bytes."""
+    built = build_experiment(small_synth())
+    clients, params = built.clients, built.template.params
+    gate = multiprocessing.get_context("fork").Event()
+    loop = os.getpid()
+    train = models.local_training
+
+    def held(m, X, y, lr, *rest):
+        if lr == HOLD_LR and os.getpid() != loop:
+            gate.wait(30)
+        return train(m, X, y, lr, *rest)
+
+    monkeypatch.setattr(models, "local_training", held)
+    proc = TrainingProcess(clients)
+    sleeps = []
+    sleep = proc._sleep
+
+    def counted():
+        sleeps.append(1)
+        sleep()
+
+    proc._sleep = counted
+    # A lost wake-up would block the loop for good; killing the child ends
+    # its wait with the dead-child error instead.
+    watchdog = threading.Timer(60, os.kill, (proc.pid, signal.SIGKILL))
+    opener = threading.Timer(0.2, gate.set)
+    watchdog.start()
+    try:
+        size = fcntl.fcntl(proc._done_r, fcntl.F_SETPIPE_SZ, 4096)
+        rounds = size // len(clients) + 1
+        for i, c in enumerate(clients):
+            c.trainer = partial(proc.submit, i)
+        outbox = Outbox()
+        for _ in range(rounds):
+            for c in clients:
+                c.handle(outbox, c.home_server, ModelDispatch(params, 0.0, 0.1))
+            for i in range(len(clients)):
+                wait_for_state(proc, i, DONE)
+        assert not sleeps
+        unread = fcntl.ioctl(proc._done_r, termios.FIONREAD, struct.pack("i", 0))
+        assert struct.unpack("i", unread)[0] == size < rounds * len(clients)
+
+        first = clients[0]
+        expected = first._train(params, HOLD_LR, first._round)
+        first.handle(outbox, first.home_server, ModelDispatch(params, 0.0, HOLD_LR))
+        wait_for_state(proc, 0, RUNNING)
+        opener.start()
+        got = outbox.sent[-1].params
+        assert sleeps
+        assert got.tobytes() == expected.tobytes()
+    finally:
+        gate.set()
+        watchdog.cancel()
+        proc.close()
+        # A thread still alive would make the next run train inline.
+        for timer in (watchdog, opener):
+            if timer.is_alive():
+                timer.join(30)
+    assert not watchdog.is_alive() and not opener.is_alive()
     assert_reaped(forks)
 
 

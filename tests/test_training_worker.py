@@ -7,6 +7,7 @@ import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from spykersim.config import ALGORITHMS, from_dict
 from spykersim.errors import NumericsError
 from spykersim.experiment import build_experiment, run_experiment
 from spykersim.messages import ClientUpdate, ModelDispatch, payload_bytes
-from spykersim.protocols.clients import TrainingClient
+from spykersim.protocols.clients import TrainingClient, train_inline
 from spykersim.suites import variant
 
 ARTIFACTS = ("trace-hash.txt", "model-hash.txt", "timeseries.csv", "summary.json")
@@ -70,7 +71,7 @@ def test_worker_runs_equal_inline_runs(monkeypatch, tmp_path, algorithm):
     handle = TrainingClient.handle
 
     def watched(self, sim, src, msg):
-        seen.append(self.trainer is not None)
+        seen.append(self.trainer is not train_inline)
         return handle(self, sim, src, msg)
 
     monkeypatch.setattr(TrainingClient, "handle", watched)
@@ -100,7 +101,7 @@ def test_sending_a_pending_update_does_not_train(monkeypatch):
     hold = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as trainer:
         blocker = trainer.submit(hold.wait, 10)
-        client.trainer = trainer
+        client.trainer = partial(experiment._Training, trainer)
         try:
             client.handle(outbox, client.home_server, ModelDispatch(built.template.params, 0.0, 0.3))
             update = outbox.sent[-1]
@@ -111,7 +112,7 @@ def test_sending_a_pending_update_does_not_train(monkeypatch):
             assert ran == [threading.current_thread()]
         finally:
             hold.set()
-            client.trainer = None
+            client.trainer = train_inline
         assert blocker.result() is True
     assert outbox.nbytes == [payload_bytes(ClientUpdate(params, 0.0))]
     # The same dispatch trained inline gives the same bytes.
@@ -126,7 +127,7 @@ def test_dispatched_and_trained_params_are_read_only():
     outbox = Outbox()
     dispatch = ModelDispatch(built.template.params.copy(), 0.0, 0.3)
     with ThreadPoolExecutor(max_workers=1) as trainer:
-        client.trainer = trainer
+        client.trainer = partial(experiment._Training, trainer)
         client.handle(outbox, client.home_server, dispatch)
         with pytest.raises(ValueError, match="read-only"):
             dispatch.params[0] = 1.0
@@ -185,7 +186,7 @@ def test_logistic_regression_starts_no_training_thread(monkeypatch):
 
     def watched(self, sim, src, msg):
         names.update(train_names())
-        trainers.add(type(self.trainer).__name__)
+        trainers.add(self.trainer.func.__qualname__)
         return handle(self, sim, src, msg)
 
     def recorded():
@@ -202,6 +203,6 @@ def test_logistic_regression_starts_no_training_thread(monkeypatch):
     assert run_experiment(cfg).summary["updates"] > 0
     assert names == set()
     # Every dispatch went to one forked training process, which is reaped.
-    assert trainers == {"_Slot"} and len(pids) == 1
+    assert trainers == {"TrainingProcess.submit"} and len(pids) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(pids[0], os.WNOHANG)

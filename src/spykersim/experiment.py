@@ -9,13 +9,17 @@ The event loop runs on the calling thread, with BLAS pinned to one thread
 for the run.  Each run owns up to two workers: a thread that scores the
 evaluations, and one that trains the clients (``_training_worker``): a
 thread in MLP runs, a forked process in logistic-regression runs, each
-given to every client as its ``trainer`` callable.  The process is a
+given to every client as its ``trainer`` callable, which a client calls
+when its simulated training starts, so the worker runs a whole training
+delay ahead of the loop.  The process is a
 fork of the built run, so it holds the same clients, shards, seeds and
 BLAS pin, and a process-shared lock gives each training job to exactly
 one side.  Worker threads read only parameter arrays that no one
 writes, the process runs the same training on the same inputs as the
 loop, and the loop waits for a result wherever it needs one, so every
-artifact is the same as with all work on one thread.
+artifact is the same as with all work on one thread.  When a run ends,
+each client's posted training is dropped with the worker: up to one per
+client was posted for a service the horizon cut short.
 
 All randomness is derived from the master seed through named seed tags, so a
 client's data order and training delay depend only on (master seed, client
@@ -137,7 +141,6 @@ class BuiltExperiment:
     cloud: object | None
     clients: list
     template: TinyModel
-    train: Dataset
     test: Dataset
     manifest: RunManifest
 
@@ -313,7 +316,7 @@ def build_experiment(cfg: ExperimentConfig) -> BuiltExperiment:
         config_hash=config_hash(cfg),
         code_version=__version__,
     )
-    return BuiltExperiment(cfg, sim, servers, cloud, clients, template, train, test, manifest)
+    return BuiltExperiment(cfg, sim, servers, cloud, clients, template, test, manifest)
 
 
 @dataclass
@@ -414,8 +417,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
             if stop_training is not None:
                 # Trainings still queued at the horizon are never read.
                 stop_training()
-                for client in built.clients:
-                    client.trainer = train_inline
+            # A posted training refers back to its client through the
+            # client's ``_train``; dropping it frees the run without waiting
+            # for a garbage collection.
+            for client in built.clients:
+                client.trainer, client.training = train_inline, None
 
     sim = built.sim
     accs = [r["accuracy"] for r in rows]
@@ -485,18 +491,24 @@ class _Training:
 
     ``result()`` waits for the thread when the job has started; a job still
     queued is cancelled and run by the caller, so a server never waits
-    behind trainings that are not due yet.
+    behind trainings that are not due yet.  Whichever side runs the job
+    drops it first, so a finished job no longer holds the dispatched
+    parameters while its update waits to be read.
     """
 
-    __slots__ = ("job", "future")
+    __slots__ = ("job", "future", "__weakref__")
 
     def __init__(self, pool: Executor, train, params: np.ndarray, lr: float, dispatch: int):
         self.job = partial(train, params, lr, dispatch)
-        self.future = pool.submit(self.job)
+        self.future = pool.submit(self._run)
+
+    def _run(self) -> np.ndarray:
+        job, self.job = self.job, None
+        return job()
 
     def result(self) -> np.ndarray:
         if self.future.cancel():
-            return self.job()
+            return self._run()
         return self.future.result()
 
 

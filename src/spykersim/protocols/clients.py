@@ -4,16 +4,18 @@ A client idles until its home server dispatches a model, spends its fixed
 training delay (sampled once at topology build) times the epoch count in
 "service", then returns the trained parameters echoing the dispatched age.
 
-The training goes through the client's ``trainer``, called as
-``trainer(train, params, lr, dispatch)``.  The default, ``train_inline``,
-runs it at once; the run's training worker (a thread in MLP runs, the
-run's forked ``TrainingProcess`` in logistic-regression runs) returns a
-pending job instead: the update is sent at once and is resolved when the
-home server reads its parameters, and a job the worker has not started is
-run by the reader.  A job reads only the dispatched parameters, which are
-read-only, the client's fixed shard and a generator seeded from (client
-seed, dispatch round), and each job runs exactly once, so its result does
-not depend on which thread or process runs it, or when.
+The training is posted when the service starts, through the client's
+``trainer``, called as ``trainer(train, params, lr, dispatch)``, and the
+update sent when the service ends carries what it returned.  The default,
+``train_inline``, runs the job at once; the run's training worker (a
+thread in MLP runs, the run's forked ``TrainingProcess`` in
+logistic-regression runs) returns a pending job instead, which the worker
+has the client's whole simulated training delay to finish: it is resolved
+when the home server reads the update's parameters, and a job the worker
+has not started is run by the reader.  A job reads only the dispatched
+parameters, which are read-only, the client's fixed shard and a generator
+seeded from (client seed, dispatch round), and each job runs exactly once,
+so its result does not depend on which thread or process runs it, or when.
 """
 
 from __future__ import annotations
@@ -61,11 +63,10 @@ class TrainingClient(Node):
         self._y = shard.labels
         self._round = 0
         self.trainer = train_inline
+        # The training posted at the current service's start, sent by handle.
+        self.training = None
 
     def service_ms(self, sim: Simulator, msg, src: int) -> float:
-        return self.training_delay_ms * self.epochs
-
-    def handle(self, sim: Simulator, src: int, msg) -> None:
         if src != self.home_server:
             raise ProtocolViolation(
                 f"client {self.node_id} contacted by non-home server {src}"
@@ -78,8 +79,17 @@ class TrainingClient(Node):
         # The job may read these on another thread while the server moves
         # on; a write into them now raises instead of racing it.
         params.setflags(write=False)
-        trained = self.trainer(self._train, params, msg.lr, dispatch)
-        sim.send(self.node_id, self.home_server, ClientUpdate(trained, msg.age, len(params)))
+        self.training = self.trainer(self._train, params, msg.lr, dispatch)
+        return self.training_delay_ms * self.epochs
+
+    def handle(self, sim: Simulator, src: int, msg) -> None:
+        trained, self.training = self.training, None
+        if trained is None:
+            raise ProtocolViolation(
+                f"client {self.node_id} handled {type(msg).__name__} from server {src} "
+                "with no training started"
+            )
+        sim.send(self.node_id, self.home_server, ClientUpdate(trained, msg.age, len(msg.params)))
 
     def _train(self, params: np.ndarray, lr: float, dispatch: int) -> np.ndarray:
         # One generator per dispatch keeps shuffles replayable by an

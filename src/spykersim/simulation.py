@@ -140,6 +140,8 @@ class Node:
         return False
 
     def service_ms(self, sim: "Simulator", msg, src: int) -> float:
+        """The service time of ``msg``; called once per queued message, when
+        its service starts, so a node may start host work for it here."""
         return 0.0
 
     def handle(self, sim: "Simulator", src: int, msg) -> None:

@@ -7,7 +7,10 @@ anonymous shared ``mmap``: the dispatched parameters, which the child
 overwrites with the trained ones, and a record of the job's lr, dispatch
 round and state.  Client i's trainer is ``partial(proc.submit, i)``: it
 posts a job by filling the slot and writing the slot index to a request
-pipe, and the client sends its update at once with the job pending.
+pipe.  A client posts when its simulated training starts and sends the
+pending job with its update when that training ends, so the child has the
+client's whole training delay to run it; a slot is reused only after its
+previous job has been resolved.
 
 A process-shared lock decides who runs each job, so every job runs exactly
 once.  The child claims a job that is still queued and reads its lr and
@@ -296,7 +299,9 @@ class _Job:
     """A posted job; ``result()`` returns the trained, read-only parameters
     or raises the training's error."""
 
-    __slots__ = ("proc", "slot", "train", "lr", "dispatch", "done", "value", "error")
+    __slots__ = (
+        "proc", "slot", "train", "lr", "dispatch", "done", "value", "error", "__weakref__"
+    )
 
     def __init__(self, proc: TrainingProcess, slot: int, train, lr: float, dispatch: int):
         self.proc = proc

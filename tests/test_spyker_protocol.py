@@ -283,11 +283,14 @@ def test_non_finite_server_merge_names_its_cause(variant):
 def test_client_training_failure_names_the_client():
     sim, _, clients, _ = build()
     c = clients[0]
-    c.handle(sim, c.home_server, ModelDispatch(c.template.params, 0.0, 0.1))
+    first = ModelDispatch(c.template.params, 0.0, 0.1)
+    c.service_ms(sim, first, c.home_server)
+    c.handle(sim, c.home_server, first)
     bad = c.template.params.copy()
     bad[2] = np.inf
+    # Inline training runs when the service starts, so the error comes from there.
     with np.errstate(all="ignore"), pytest.raises(NumericsError) as err:
-        c.handle(sim, c.home_server, ModelDispatch(bad, 1.0, 0.25))
+        c.service_ms(sim, ModelDispatch(bad, 1.0, 0.25), c.home_server)
     msg = str(err.value)
     for part in (f"client {c.node_id}", f"home server {c.home_server}", "dispatch round 1",
                  "lr 0.25", f"component {err.value.index}"):
@@ -309,6 +312,20 @@ def test_dispatches_come_only_from_home_server():
     sim.on_event = probe
     sim.run(horizon_ms=10_000)
     assert not bad
+
+
+def test_protocol_checks_come_before_the_training_is_posted():
+    sim, _, clients, _ = build()
+    c = clients[0]
+    posted = []
+    c.trainer = lambda *job: posted.append(job)
+    params = c.template.params.copy()
+    with pytest.raises(ProtocolViolation, match="non-home server"):
+        c.service_ms(sim, ModelDispatch(params, 0.0, 0.1), c.home_server + 1)
+    with pytest.raises(ProtocolViolation, match="cannot handle AgeBroadcast"):
+        c.service_ms(sim, AgeBroadcast(1.0), c.home_server)
+    assert posted == [] and c._round == 0
+    assert params.flags.writeable
 
 
 def test_foreign_server_contact_rejected():

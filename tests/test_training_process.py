@@ -25,7 +25,7 @@ from spykersim.experiment import build_experiment, run_experiment
 from spykersim.messages import ModelDispatch
 from spykersim.suites import variant
 from spykersim.training_process import DONE, RUNNING, TrainingProcess
-from test_training_worker import Outbox, artifacts
+from test_training_worker import Outbox, artifacts, serve
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork") or experiment._usable_cpus() < 2,
@@ -120,7 +120,7 @@ def test_jobs_read_in_any_order_equal_inline_training(forks):
         for k in range(3):
             outbox = Outbox()
             for c in clients:
-                c.handle(outbox, c.home_server, ModelDispatch(params[k], float(k), 0.1 * (k + 1)))
+                serve(c, outbox, ModelDispatch(params[k], float(k), 0.1 * (k + 1)))
             order = rng.permutation(len(clients))
             for j, idx in enumerate(order):
                 if j % 4 == 0:
@@ -171,12 +171,12 @@ def test_a_stale_request_trains_the_current_job(monkeypatch, forks):
     try:
         busy.trainer, client.trainer = partial(proc.submit, 0), partial(proc.submit, 1)
         outbox = Outbox()
-        busy.handle(outbox, busy.home_server, ModelDispatch(first, 0.0, HOLD_LR))
+        serve(busy, outbox, ModelDispatch(first, 0.0, HOLD_LR))
         wait_for_state(proc, 0, RUNNING)
-        client.handle(outbox, client.home_server, ModelDispatch(first, 0.0, 0.3))
+        serve(client, outbox, ModelDispatch(first, 0.0, 0.3))
         assert outbox.sent[-1].params is not None  # queued, so the loop runs it
         assert loop_lrs == [0.3]
-        client.handle(outbox, client.home_server, ModelDispatch(second, 1.0, 0.2))
+        serve(client, outbox, ModelDispatch(second, 1.0, 0.2))
         gate.set()
         # The child reads the first job's request and trains the second.
         wait_for_state(proc, 1, DONE)
@@ -230,7 +230,7 @@ def test_a_full_done_pipe_loses_no_wake_up(monkeypatch, forks):
         outbox = Outbox()
         for _ in range(rounds):
             for c in clients:
-                c.handle(outbox, c.home_server, ModelDispatch(params, 0.0, 0.1))
+                serve(c, outbox, ModelDispatch(params, 0.0, 0.1))
             for i in range(len(clients)):
                 wait_for_state(proc, i, DONE)
         assert not sleeps
@@ -239,7 +239,7 @@ def test_a_full_done_pipe_loses_no_wake_up(monkeypatch, forks):
 
         first = clients[0]
         expected = first._train(params, HOLD_LR, first._round)
-        first.handle(outbox, first.home_server, ModelDispatch(params, 0.0, HOLD_LR))
+        serve(first, outbox, ModelDispatch(params, 0.0, HOLD_LR))
         wait_for_state(proc, 0, RUNNING)
         opener.start()
         got = outbox.sent[-1].params

@@ -1,11 +1,14 @@
 """MLP clients training on the run's worker thread: the same runs as inline
-training, updates resolved when a server reads them, errors that name the
-client, and no thread left behind."""
+training, trainings posted when a client's service starts, updates resolved
+when a server reads them, errors that name the client, and no thread or
+posted job left behind."""
 
+import gc
 import hashlib
 import os
 import re
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -64,6 +67,13 @@ class Outbox:
         self.nbytes.append(payload_bytes(msg))
 
 
+def serve(client, sim, msg):
+    """Run one service of ``msg`` from the client's home server: its start,
+    which posts the training, then its end, which sends the update."""
+    client.service_ms(sim, msg, client.home_server)
+    client.handle(sim, client.home_server, msg)
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_worker_runs_equal_inline_runs(monkeypatch, tmp_path, algorithm):
     cfg = small_mnist(algorithm)
@@ -103,7 +113,7 @@ def test_sending_a_pending_update_does_not_train(monkeypatch):
         blocker = trainer.submit(hold.wait, 10)
         client.trainer = partial(experiment._Training, trainer)
         try:
-            client.handle(outbox, client.home_server, ModelDispatch(built.template.params, 0.0, 0.3))
+            serve(client, outbox, ModelDispatch(built.template.params, 0.0, 0.3))
             update = outbox.sent[-1]
             # The worker is busy, so the job is still queued: nothing trained.
             assert ran == []
@@ -117,7 +127,7 @@ def test_sending_a_pending_update_does_not_train(monkeypatch):
     assert outbox.nbytes == [payload_bytes(ClientUpdate(params, 0.0))]
     # The same dispatch trained inline gives the same bytes.
     client._round = 0
-    client.handle(outbox, client.home_server, ModelDispatch(built.template.params, 0.0, 0.3))
+    serve(client, outbox, ModelDispatch(built.template.params, 0.0, 0.3))
     assert outbox.sent[-1].params.tobytes() == params.tobytes()
 
 
@@ -128,7 +138,7 @@ def test_dispatched_and_trained_params_are_read_only():
     dispatch = ModelDispatch(built.template.params.copy(), 0.0, 0.3)
     with ThreadPoolExecutor(max_workers=1) as trainer:
         client.trainer = partial(experiment._Training, trainer)
-        client.handle(outbox, client.home_server, dispatch)
+        serve(client, outbox, dispatch)
         with pytest.raises(ValueError, match="read-only"):
             dispatch.params[0] = 1.0
         trained = outbox.sent[0].params
@@ -206,3 +216,101 @@ def test_logistic_regression_starts_no_training_thread(monkeypatch):
     assert trainers == {"TrainingProcess.submit"} and len(pids) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(pids[0], os.WNOHANG)
+
+
+# Each kind of run and the trainer its clients get.
+TRAINERS = {"process": "TrainingProcess.submit", "thread": "_Training", "inline": "train_inline"}
+
+
+def posting_run(monkeypatch, kind):
+    """Run a small experiment whose clients train in the forked process, on
+    the training thread or inline; return the run's clients and every
+    trainer call as (client id, sim time, dispatch round, weakref to the
+    returned job)."""
+    if kind == "process":
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork")
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        cfg = from_dict({"preset": "desk-synth", "seed": 3, "horizon_ms": 1000.0})
+    else:
+        cfg = small_mnist()
+    start = (lambda built: None) if kind == "inline" else experiment._training_worker
+    posts, clients = [], []
+
+    def recording(sim, client, trainer):
+        def record(train, params, lr, dispatch):
+            job = trainer(train, params, lr, dispatch)
+            posts.append((client.node_id, sim.now, dispatch, weakref.ref(job)))
+            return job
+
+        return record
+
+    def started(built):
+        stop = start(built)
+        for client in built.clients:
+            trainer = client.trainer
+            assert getattr(trainer, "func", trainer).__qualname__ == TRAINERS[kind]
+            client.trainer = recording(built.sim, client, trainer)
+        clients.extend(built.clients)
+        return stop
+
+    monkeypatch.setattr(experiment, "_training_worker", started)
+    return cfg, posts, clients
+
+
+@pytest.mark.parametrize("kind", TRAINERS)
+def test_training_is_posted_when_the_service_starts(monkeypatch, kind):
+    cfg, posts, clients = posting_run(monkeypatch, kind)
+    handled = []
+    handle = TrainingClient.handle
+
+    def watched(self, sim, src, msg):
+        handled.append((self.node_id, sim.now))
+        return handle(self, sim, src, msg)
+
+    monkeypatch.setattr(TrainingClient, "handle", watched)
+    res = run_experiment(cfg)
+    assert res.summary["updates"] > 0
+    by_client = {c.node_id: c for c in clients}
+    for cid, client in by_client.items():
+        mine = [p for p in posts if p[0] == cid]
+        ends = [t for c, t in handled if c == cid]
+        assert [p[2] for p in mine] == list(range(len(mine)))
+        # At most the service in progress at the horizon is never handled.
+        assert len(ends) <= len(mine) <= len(ends) + 1
+        service = client.training_delay_ms * client.epochs
+        for (_, posted_at, _, _), end in zip(mine, ends):
+            assert posted_at + service == end
+    assert len(posts) > len(clients)
+
+
+@pytest.mark.parametrize("kind", TRAINERS)
+def test_no_posted_job_outlives_its_run(monkeypatch, kind):
+    # The clients stay referenced here, so a client must not keep its last
+    # job either; only reference counting frees objects, so a reference
+    # cycle through a job would keep it alive too.
+    cfg, posts, clients = posting_run(monkeypatch, kind)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        run_experiment(cfg)
+        alive = sum(ref() is not None for *_, ref in posts)
+    finally:
+        if collecting:
+            gc.enable()
+    assert posts and alive == 0
+    assert all(c.training is None for c in clients)
+
+
+def test_a_finished_job_releases_its_dispatched_params():
+    built = build_experiment(small_mnist())
+    client = built.clients[0]
+    params = built.template.params.copy()
+    dispatched = weakref.ref(params)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        training = experiment._Training(pool, client._train, params, 0.3, 0)
+        del params
+        training.future.result(timeout=60)
+    # Finished but not read: the job still holds its result, not its input.
+    assert training.job is None and dispatched() is None
+    assert not training.result().flags.writeable

@@ -6,20 +6,7 @@ artifacts: manifest.json, timeseries.csv, summary.json, trace-hash.txt,
 model-hash.txt.
 
 The event loop runs on the calling thread, with BLAS pinned to one thread
-for the run.  Each run owns up to two workers: a thread that scores the
-evaluations, and one that trains the clients (``_training_worker``): a
-thread in MLP runs, a forked process in logistic-regression runs, each
-given to every client as its ``trainer`` callable, which a client calls
-when its simulated training starts, so the worker runs a whole training
-delay ahead of the loop.  The process is a
-fork of the built run, so it holds the same clients, shards, seeds and
-BLAS pin, and a process-shared lock gives each training job to exactly
-one side.  Worker threads read only parameter arrays that no one
-writes, the process runs the same training on the same inputs as the
-loop, and the loop waits for a result wherever it needs one, so every
-artifact is the same as with all work on one thread.  When a run ends,
-each client's posted training is dropped with the worker: up to one per
-client was posted for a service the horizon cut short.
+for the run, beside the run's workers (``workers.py``).
 
 All randomness is derived from the master seed through named seed tags, so a
 client's data order and training delay depend only on (master seed, client
@@ -32,11 +19,9 @@ import csv
 import hashlib
 import json
 import os
-import threading
 from collections.abc import Callable
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -53,7 +38,7 @@ from .data import (
 )
 from .errors import ConfigError
 from .messages import Token
-from .models import MLP, TinyModel, init_model, predict_into
+from .models import TinyModel, init_model
 from .protocols import (
     FedAsyncServer,
     FedAvgServer,
@@ -63,7 +48,6 @@ from .protocols import (
     SyncSpykerServer,
     TrainingClient,
 )
-from .protocols.clients import train_inline
 from .simulation import (
     AWS4_LATENCY_MS,
     LinkModel,
@@ -71,7 +55,7 @@ from .simulation import (
     Simulator,
     uniform_latency_ms,
 )
-from .training_process import TrainingProcess
+from .workers import run_workers
 
 # Seed tags; one namespace per purpose keeps streams independent.
 _DATA, _SPLIT, _PARTITION, _MODEL, _RING, _SELECT = 11, 12, 13, 14, 15, 16
@@ -330,73 +314,6 @@ class RunResult:
     model_hash: str = ""
 
 
-class _Evaluator:
-    """Scores a run's eval model on one worker thread, skipping repeats.
-
-    A call snapshots the eval model's inputs by reference: the global or
-    cloud parameters, or every spyker server's parameters and age.  Servers
-    replace their parameter arrays and never write them, so a snapshot with
-    the same arrays and ages scores the same model, and the previous
-    result is reused.  Otherwise the worker scores it with the float64
-    operations of ``BuiltExperiment.eval_model`` and ``data.evaluate``, in
-    the same order, into buffers allocated once, and takes the SHA-256 of
-    the model's ``<f8`` bytes.  A call returns a Future of (accuracy,
-    digest); calls on an unchanged snapshot share one.
-    """
-
-    def __init__(self, built: BuiltExperiment):
-        self.built = built
-        cfg, template, test = built.cfg, built.template, built.test
-        self.pooled = cfg.algorithm in SPYKER_MERGE
-        self.uniform = cfg.eval_target == "mean"
-        self.X = test.features64
-        self.labels = test.labels
-        n = test.n_samples
-        if self.pooled:
-            self.stack = np.empty((len(built.servers), template.dim))
-            self.mean = np.empty(template.dim)
-        self.logits = np.empty((n, template.n_classes))
-        self.hidden = np.empty((n, template.hidden_dim)) if template.kind == MLP else None
-        self.pred = np.empty(n, dtype=np.intp)
-        self.hits = np.empty(n, dtype=bool)
-        self._last: tuple | None = None
-        self._scored: Future | None = None
-        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-eval")
-
-    def __call__(self) -> Future:
-        built = self.built
-        if self.pooled:
-            params = tuple(s.model.params for s in built.servers)
-            ages = tuple(s.age for s in built.servers)
-        else:
-            node = built.cloud if built.cloud is not None else built.servers[0]
-            params, ages = (node.model.params,), ()
-        last = self._last
-        if last is None or ages != last[1] or any(a is not b for a, b in zip(params, last[0])):
-            self._last = (params, ages)
-            self._scored = self._pool.submit(self._score, params, ages)
-        return self._scored
-
-    def _score(self, params: tuple, ages: tuple) -> tuple[float, bytes]:
-        if self.pooled:
-            stack = np.stack(params, out=self.stack)
-            a = np.array(ages)
-            if self.uniform or a.sum() <= 0:
-                weights = np.full(len(params), 1.0 / len(params))
-            else:
-                weights = a / a.sum()
-            flat = np.matmul(weights, stack, out=self.mean)
-        else:
-            flat = params[0]
-        model = self.built.template.with_params(flat)
-        pred = predict_into(model, self.X, self.logits, self.hidden, self.pred)
-        acc = float(np.mean(np.equal(pred, self.labels, out=self.hits)))
-        return acc, hashlib.sha256(np.ascontiguousarray(flat, dtype="<f8")).digest()
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
     with one_blas_thread() as blas:
         built = build_experiment(cfg)
@@ -406,22 +323,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
             blas_threads=blas.threads,
             blas_pinned=blas.pinned,
         )
-        stop_training = _training_worker(built)
-        try:
-            evaluator = _Evaluator(built)
-            try:
-                rows, model_hash = _run_rows(built, evaluator)
-            finally:
-                evaluator.close()
-        finally:
-            if stop_training is not None:
-                # Trainings still queued at the horizon are never read.
-                stop_training()
-            # A posted training refers back to its client through the
-            # client's ``_train``; dropping it frees the run without waiting
-            # for a garbage collection.
-            for client in built.clients:
-                client.trainer, client.training = train_inline, None
+        with run_workers(built) as evaluator:
+            rows, model_hash = _run_rows(built, evaluator)
 
     sim = built.sim
     accs = [r["accuracy"] for r in rows]
@@ -459,66 +362,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     return result
 
 
-def _training_worker(built: BuiltExperiment) -> Callable[[], None] | None:
-    """Start the run's training worker and give it to every client; return
-    the function that stops it, or None when training stays inline.
-
-    An MLP training spends most of its time in BLAS calls that release the
-    interpreter lock, so MLP runs train on one thread.  A logistic-regression
-    training is mostly Python, which a thread would run under the same lock
-    as the loop, so it goes to one forked process (``TrainingProcess``),
-    where ``os.fork`` exists, the process may use two CPUs and no other
-    thread runs (a fork copies only the calling thread, so a lock another
-    thread holds would stay locked in the child).  The fork comes after the
-    build and before the evaluator starts its thread, so the child holds
-    the run's clients, shards, seeds and BLAS pin as they are.
-    """
-    if built.template.kind == MLP:
-        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-train")
-        for client in built.clients:
-            client.trainer = partial(_Training, pool)
-        return partial(pool.shutdown, wait=True, cancel_futures=True)
-    if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() > 1:
-        return None
-    proc = TrainingProcess(built.clients)
-    for i, client in enumerate(built.clients):
-        client.trainer = partial(proc.submit, i)
-    return proc.close
-
-
-class _Training:
-    """One dispatch's training job on the run's training thread.
-
-    ``result()`` waits for the thread when the job has started; a job still
-    queued is cancelled and run by the caller, so a server never waits
-    behind trainings that are not due yet.  Whichever side runs the job
-    drops it first, so a finished job no longer holds the dispatched
-    parameters while its update waits to be read.
-    """
-
-    __slots__ = ("job", "future", "__weakref__")
-
-    def __init__(self, pool: Executor, train, params: np.ndarray, lr: float, dispatch: int):
-        self.job = partial(train, params, lr, dispatch)
-        self.future = pool.submit(self._run)
-
-    def _run(self) -> np.ndarray:
-        job, self.job = self.job, None
-        return job()
-
-    def result(self) -> np.ndarray:
-        if self.future.cancel():
-            return self._run()
-        return self.future.result()
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_rows(built: BuiltExperiment, evaluator: _Evaluator) -> tuple[list[dict], str]:
+def _run_rows(built: BuiltExperiment, evaluator: Callable[[], Future]) -> tuple[list[dict], str]:
     """Run the simulation; one row per evaluation, accuracies resolved, and
     the model hash: the SHA-256 over every row's model digest, in order."""
     cfg, sim = built.cfg, built.sim

@@ -6,16 +6,13 @@ training delay (sampled once at topology build) times the epoch count in
 
 The training is posted when the service starts, through the client's
 ``trainer``, called as ``trainer(train, params, lr, dispatch)``, and the
-update sent when the service ends carries what it returned.  The default,
-``train_inline``, runs the job at once; the run's training worker (a
-thread in MLP runs, the run's forked ``TrainingProcess`` in
-logistic-regression runs) returns a pending job instead, which the worker
-has the client's whole simulated training delay to finish: it is resolved
-when the home server reads the update's parameters, and a job the worker
-has not started is run by the reader.  A job reads only the dispatched
-parameters, which are read-only, the client's fixed shard and a generator
-seeded from (client seed, dispatch round), and each job runs exactly once,
-so its result does not depend on which thread or process runs it, or when.
+update sent when the service ends carries what it returned: the trained
+parameters from the default, ``train_inline``, or a pending job from the
+run's training worker (``workers.py``), resolved when the home server
+reads the update's parameters.  A job reads only the read-only dispatched
+parameters, the client's fixed shard and a generator seeded from (client
+seed, dispatch round), so its result does not depend on which thread or
+process runs it, or when.
 """
 
 from __future__ import annotations

@@ -185,6 +185,7 @@ class Simulator:
         self._routes: dict[tuple[int, int], tuple[float, str]] = {}
         self._pending_real = 0
         self._hasher = hashlib.sha256()
+        self._ran = False
 
     # -- topology ---------------------------------------------------------
 
@@ -265,8 +266,11 @@ class Simulator:
         eval_interval_ms: float | None = None,
         eval_hook=None,
     ) -> None:
+        if self._ran:
+            raise RuntimeError("a simulator runs once; build a new one for another run")
         if eval_interval_ms is not None and eval_interval_ms <= 0:
             raise ConfigError("eval interval must be positive")
+        self._ran = True
         if eval_interval_ms and self._pending_real > 0:
             self._push(eval_interval_ms, EVAL, None)
 

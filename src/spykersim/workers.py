@@ -1,49 +1,73 @@
-"""A forked worker process that trains clients beside the event loop.
+"""A run's workers, which ``run_workers(built)`` starts and stops.
 
-``TrainingProcess(clients)`` forks once per run, after the run is built,
-so the child holds the same clients, shards, seeds and BLAS pin as the
-loop (and any monkeypatch in place).  Each client owns one slot of an
-anonymous shared ``mmap``: the dispatched parameters, which the child
-overwrites with the trained ones, and a record of the job's lr, dispatch
-round and state.  Client i's trainer is ``partial(proc.submit, i)``: it
-posts a job by filling the slot and writing the slot index to a request
-pipe.  A client posts when its simulated training starts and sends the
-pending job with its update when that training ends, so the child has the
-client's whole training delay to run it; a slot is reused only after its
-previous job has been resolved.
+The event loop runs on the calling thread.  Each run owns up to two
+workers: a thread that scores the evaluations (``_Evaluator``), and a
+training worker that every client gets as its ``trainer``, called when
+its simulated training starts, so the worker runs a whole training delay
+ahead of the loop.  An MLP training is mostly BLAS calls that release the
+interpreter lock, so MLP runs train on one thread (``_Training``).  A
+logistic-regression training is mostly Python, which a thread would run
+under the loop's lock, so it goes to one forked process
+(``TrainingProcess``) where ``os.fork`` exists, the process may use two
+CPUs and no other thread runs (a fork copies only the calling thread, so
+a lock another thread holds would stay locked in the child); otherwise it
+stays inline.  The training worker starts first, so the fork comes after
+the build and before any run thread, and the child holds the run's
+clients, shards, seeds and BLAS pin (and any monkeypatch) as they are.  A
+reader runs a job the worker has not started, so a server never waits
+behind trainings that are not due yet.  Worker threads read only arrays
+that no one writes, the process runs the same training on the same
+inputs as the loop, and the loop waits wherever it needs a result, so
+every artifact is the same as with all work on one thread.  On every exit
+both workers stop, dropping each client's posted training (up to one per
+client, for a service the horizon cut short), and every client gets
+``train_inline`` back.
 
-A process-shared lock decides who runs each job, so every job runs exactly
-once.  The child claims a job that is still queued and reads its lr and
-dispatch round from the record under the lock, so a request whose job the
-loop has already run trains the slot's current job, never the old one; it
-writes the result into the slot and marks it done.  A reader whose job is
-still queued runs it itself; one whose job the child is running meanwhile
-runs the oldest job the child has not started; a finished job is copied
-out read-only.  Both sides run the same ``TrainingClient._train`` on the
-same inputs, so a result does not depend on who ran it or when.  A job
-that fails in the child is run again by its reader, which raises the same
-error as inline training.
-
-After every job the child writes one byte to a done pipe, and a reader
-waiting for the child blocks on that pipe; a byte that finds the pipe
-full is dropped, since the bytes already there wake the reader, which then
-checks its job's state again.  Both sides spin for about 2 ms before they
-block, because right after a sleep a ~100 µs job takes about twice as long
-on a virtualised host.
+In the process, each client owns one slot of an anonymous shared
+``mmap``: the dispatched parameters, which the child overwrites with the
+trained ones, and a record of the job's lr, dispatch round and state.
+Client i's trainer, ``partial(proc.submit, i)``, fills the slot and writes
+i to a request pipe; a slot is reused only after its job has been
+resolved.  A process-shared lock gives each job to exactly one side: the
+child claims a job still queued and reads its lr and round under the
+lock, so a request whose job the loop has already run trains the slot's
+current job; a reader whose job the child is running meanwhile runs the
+oldest job the child has not started.  A finished job is copied out
+read-only; one that failed in the child is run again by its reader, which
+raises the same error as inline training.  After every job the child
+writes one byte to a done pipe, on which a waiting reader blocks; a byte
+that finds the pipe full is dropped, since the bytes already there wake
+the reader.  Both sides spin for about 2 ms before they block, because
+right after a sleep a ~100 µs job takes about twice as long on a
+virtualised host.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import mmap
 import multiprocessing
 import os
 import select
 import signal
+import threading
 import time
 from collections import deque
+from collections.abc import Callable, Iterator
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from contextlib import contextmanager
+from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .config import SPYKER_MERGE
+from .models import MLP, predict_into
+from .protocols.clients import train_inline
+
+if TYPE_CHECKING:
+    from .experiment import BuiltExperiment
 
 IDLE, QUEUED, RUNNING, DONE, FAILED = range(5)
 SPIN_S = 0.002
@@ -51,6 +75,141 @@ SPIN_S = 0.002
 LOCK_CHECK_S = 0.5
 
 perf = time.perf_counter
+
+
+@contextmanager
+def run_workers(built: BuiltExperiment) -> Iterator[_Evaluator]:
+    """Start the run's training worker, then its evaluator, and yield the
+    evaluator; stop both and reset every client's trainer on every exit."""
+    stop_training = _training_worker(built)
+    try:
+        evaluator = _Evaluator(built)
+        try:
+            yield evaluator
+        finally:
+            evaluator.close()
+    finally:
+        if stop_training is not None:
+            stop_training()
+        # A posted training refers back to its client through ``_train``;
+        # dropping it frees the run without waiting for a garbage collection.
+        for client in built.clients:
+            client.trainer, client.training = train_inline, None
+
+
+def _training_worker(built: BuiltExperiment) -> Callable[[], None] | None:
+    """Start the run's training worker and give it to every client; return
+    the function that stops it, or None when training stays inline."""
+    if built.template.kind == MLP:
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-train")
+        for client in built.clients:
+            client.trainer = partial(_Training, pool)
+        return partial(pool.shutdown, wait=True, cancel_futures=True)
+    if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() > 1:
+        return None
+    proc = TrainingProcess(built.clients)
+    for i, client in enumerate(built.clients):
+        client.trainer = partial(proc.submit, i)
+    return proc.close
+
+
+class _Training:
+    """One dispatch's training job on the run's training thread.
+
+    ``result()`` waits for the thread when the job has started; a job still
+    queued is cancelled and run by the caller, so a server never waits
+    behind trainings that are not due yet.  Whichever side runs the job
+    drops it first, so a finished job no longer holds the dispatched
+    parameters while its update waits to be read.
+    """
+
+    __slots__ = ("job", "future", "__weakref__")
+
+    def __init__(self, pool: Executor, train, params: np.ndarray, lr: float, dispatch: int):
+        self.job = partial(train, params, lr, dispatch)
+        self.future = pool.submit(self._run)
+
+    def _run(self) -> np.ndarray:
+        job, self.job = self.job, None
+        return job()
+
+    def result(self) -> np.ndarray:
+        if self.future.cancel():
+            return self._run()
+        return self.future.result()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Evaluator:
+    """Scores a run's eval model on one worker thread, skipping repeats.
+
+    A call snapshots the eval model's inputs by reference: the global or
+    cloud parameters, or every spyker server's parameters and age.  Servers
+    replace their parameter arrays and never write them, so a snapshot with
+    the same arrays and ages scores the same model, and the previous
+    result is reused.  Otherwise the worker scores it with the float64
+    operations of ``BuiltExperiment.eval_model`` and ``data.evaluate``, in
+    the same order, into buffers allocated once, and takes the SHA-256 of
+    the model's ``<f8`` bytes.  A call returns a Future of (accuracy,
+    digest); calls on an unchanged snapshot share one.
+    """
+
+    def __init__(self, built: BuiltExperiment):
+        self.built = built
+        cfg, template, test = built.cfg, built.template, built.test
+        self.pooled = cfg.algorithm in SPYKER_MERGE
+        self.uniform = cfg.eval_target == "mean"
+        self.X = test.features64
+        self.labels = test.labels
+        n = test.n_samples
+        if self.pooled:
+            self.stack = np.empty((len(built.servers), template.dim))
+            self.mean = np.empty(template.dim)
+        self.logits = np.empty((n, template.n_classes))
+        self.hidden = np.empty((n, template.hidden_dim)) if template.kind == MLP else None
+        self.pred = np.empty(n, dtype=np.intp)
+        self.hits = np.empty(n, dtype=bool)
+        self._last: tuple | None = None
+        self._scored: Future | None = None
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-eval")
+
+    def __call__(self) -> Future:
+        built = self.built
+        if self.pooled:
+            params = tuple(s.model.params for s in built.servers)
+            ages = tuple(s.age for s in built.servers)
+        else:
+            node = built.cloud if built.cloud is not None else built.servers[0]
+            params, ages = (node.model.params,), ()
+        last = self._last
+        if last is None or ages != last[1] or any(a is not b for a, b in zip(params, last[0])):
+            self._last = (params, ages)
+            self._scored = self._pool.submit(self._score, params, ages)
+        return self._scored
+
+    def _score(self, params: tuple, ages: tuple) -> tuple[float, bytes]:
+        if self.pooled:
+            stack = np.stack(params, out=self.stack)
+            a = np.array(ages)
+            if self.uniform or a.sum() <= 0:
+                weights = np.full(len(params), 1.0 / len(params))
+            else:
+                weights = a / a.sum()
+            flat = np.matmul(weights, stack, out=self.mean)
+        else:
+            flat = params[0]
+        model = self.built.template.with_params(flat)
+        pred = predict_into(model, self.X, self.logits, self.hidden, self.pred)
+        acc = float(np.mean(np.equal(pred, self.labels, out=self.hits)))
+        return acc, hashlib.sha256(np.ascontiguousarray(flat, dtype="<f8")).digest()
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 class TrainingProcess:

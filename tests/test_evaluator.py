@@ -14,6 +14,7 @@ import pytest
 
 import spykersim.blas as blas
 import spykersim.experiment as experiment
+import spykersim.workers as workers
 from spykersim.config import ALGORITHMS, SINGLE_SERVER, apply_overrides, from_dict
 from spykersim.data import evaluate
 from spykersim.experiment import run_experiment
@@ -54,7 +55,7 @@ class SequentialEvaluator:
 
 def sequential(monkeypatch, cfg):
     with monkeypatch.context() as m:
-        m.setattr(experiment, "_Evaluator", SequentialEvaluator)
+        m.setattr(workers, "_Evaluator", SequentialEvaluator)
         return run_experiment(cfg)
 
 
@@ -85,13 +86,13 @@ def test_mnist_spyker_rows_equal_sequential_evaluation(monkeypatch):
 
 def test_fedavg_skips_unchanged_models(monkeypatch):
     passes = []
-    forward = experiment.predict_into
+    forward = workers.predict_into
 
     def counted(*args):
         passes.append(1)
         return forward(*args)
 
-    monkeypatch.setattr(experiment, "predict_into", counted)
+    monkeypatch.setattr(workers, "predict_into", counted)
     res = run_experiment(tiny("fedavg", "horizon_ms=3000", "eval_interval_ms=100"))
     # A FedAvg model changes once per round, and rounds are longer than the
     # evaluation interval.
@@ -123,7 +124,7 @@ def test_worker_error_reaches_the_caller(monkeypatch, extra):
     def broken(*args):
         raise FloatingPointError("forward pass failed in the worker")
 
-    monkeypatch.setattr(experiment, "predict_into", broken)
+    monkeypatch.setattr(workers, "predict_into", broken)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="forward pass failed in the worker"):
         run_experiment(tiny("spyker", *extra))

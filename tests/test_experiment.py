@@ -7,7 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from spykersim.config import DATA_ROOT_ENV, LOCATIONS, SINGLE_SERVER, from_dict
+import spykersim.models as models
+from spykersim.config import ALGORITHMS, DATA_ROOT_ENV, LOCATIONS, SINGLE_SERVER, from_dict
 from spykersim.errors import ConfigError
 from spykersim.experiment import (
     build_experiment,
@@ -19,7 +20,7 @@ from spykersim.experiment import (
 )
 from spykersim.messages import Token
 from spykersim.simulation import RunManifest
-from spykersim.suites import UNREACHED, median_over_seeds
+from spykersim.suites import UNREACHED, median_over_seeds, variant
 
 
 def tiny(algorithm="spyker", **overrides):
@@ -200,6 +201,42 @@ def test_seed_changes_the_trace():
     a = run_experiment(tiny(seed=0))
     b = run_experiment(tiny(seed=1))
     assert a.trace_hash != b.trace_hash
+
+
+SCHEDULE_PRESETS = {
+    "desk-synth": {"horizon_ms": 1500.0},
+    "desk-mnist": {"n_samples": 3000, "horizon_ms": 1000.0, "eval_interval_ms": 250.0},
+}
+
+
+def schedule(res) -> dict:
+    """Everything a run's event schedule decides; only accuracy is left out."""
+    keep = ("total_bytes", "bytes_by_class", "client_updates", "age_clamps", "events")
+    return {
+        "trace_hash": res.trace_hash,
+        **{key: res.summary[key] for key in keep},
+        "rows": [{k: v for k, v in row.items() if k != "accuracy"} for row in res.rows],
+    }
+
+
+def params(res) -> list[bytes]:
+    return [s.model.params.tobytes() for s in res.built.servers]
+
+
+@pytest.mark.parametrize(
+    "preset, algorithm", [(p, a) for p in SCHEDULE_PRESETS for a in ALGORITHMS]
+)
+def test_schedule_does_not_depend_on_model_values(monkeypatch, preset, algorithm):
+    """Clients that send back the dispatched model untrained give the same
+    event schedule, bytes and update counts as clients that train."""
+    cfg = variant(from_dict({"preset": preset, "seed": 3, **SCHEDULE_PRESETS[preset]}), algorithm)
+    trained = run_experiment(cfg)
+    # Set before the run, so the forked child and the training thread train this way too.
+    monkeypatch.setattr(models, "local_training", lambda m, *args: m)
+    untrained = run_experiment(cfg)
+    assert untrained.summary["updates"] > 0
+    assert params(untrained) != params(trained)
+    assert schedule(untrained) == schedule(trained)
 
 
 # -- dataset plumbing ---------------------------------------------------------

@@ -280,6 +280,32 @@ class TestRunLoop:
         assert sim.stop_reason == "quiescent"
         assert len(hook_times) <= 2
 
+    def test_a_simulator_runs_once(self):
+        """A second run would start a second evaluation chain at the absolute
+        time ``eval_interval_ms``, behind the clock; it raises instead, and
+        changes nothing."""
+        sim = make_sim()
+        sim.add_node(Pinger(0, "Paris", 1, [update() for _ in range(50)]))
+        sim.add_node(Sink(1, "Paris", service=100.0))
+        for n in sim.nodes.values():
+            n.bootstrap(sim)
+        hook_times = []
+
+        def hook(s):
+            hook_times.append(s.now)
+
+        with pytest.raises(ConfigError):
+            sim.run(horizon_ms=1000.0, eval_interval_ms=0.0, eval_hook=hook)
+        sim.run(horizon_ms=1000.0, eval_interval_ms=250.0, eval_hook=hook)
+        assert hook_times == [250.0, 500.0, 750.0, 1000.0]
+        state = (sim.now, sim.stop_reason, sim.events_processed, sim.trace_hash())
+        queued = list(sim._heap)
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.run(horizon_ms=2000.0, eval_interval_ms=250.0, eval_hook=hook)
+        assert (sim.now, sim.stop_reason, sim.events_processed, sim.trace_hash()) == state
+        assert sim._heap == queued
+        assert hook_times == [250.0, 500.0, 750.0, 1000.0]
+
     def test_trace_hash_deterministic(self):
         def build():
             sim = make_sim()

@@ -16,19 +16,19 @@ from functools import partial
 import numpy as np
 import pytest
 
-import spykersim.experiment as experiment
 import spykersim.models as models
 import spykersim.protocols.spyker as spyker
+import spykersim.workers as workers
 from spykersim.config import ALGORITHMS, from_dict
 from spykersim.errors import NumericsError
 from spykersim.experiment import build_experiment, run_experiment
 from spykersim.messages import ModelDispatch
 from spykersim.suites import variant
-from spykersim.training_process import DONE, RUNNING, TrainingProcess
+from spykersim.workers import DONE, RUNNING, TrainingProcess
 from test_training_worker import Outbox, artifacts, serve
 
 pytestmark = pytest.mark.skipif(
-    not hasattr(os, "fork") or experiment._usable_cpus() < 2,
+    not hasattr(os, "fork") or workers._usable_cpus() < 2,
     reason="logistic-regression runs train inline without fork or a second CPU",
 )
 
@@ -38,20 +38,33 @@ def small_synth(algorithm: str = "spyker", **extra):
     return variant(cfg, algorithm)
 
 
+class Forks(list):
+    """The pids of every process forked while a test runs; ``threads[k]``
+    names the threads that were alive at fork k."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = []
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of every process forked while the test runs."""
-    pids = []
+    pids = Forks()
     fork = os.fork
 
     def recorded():
+        alive = [t.name for t in threading.enumerate()]
         pid = fork()
         if pid:
             pids.append(pid)
+            pids.threads.append(alive)
         return pid
 
     monkeypatch.setattr(os, "fork", recorded)
     return pids
+
+
+RUN_THREADS = ("spykersim-eval", "spykersim-train")
 
 
 def assert_reaped(pids):
@@ -62,7 +75,7 @@ def assert_reaped(pids):
 
 def inline_run(monkeypatch, cfg, out):
     with monkeypatch.context() as m:
-        m.setattr(experiment, "_training_worker", lambda built: None)
+        m.setattr(workers, "_training_worker", lambda built: None)
         return run_experiment(cfg, str(out))
 
 
@@ -71,6 +84,8 @@ def test_process_runs_equal_inline_runs(monkeypatch, tmp_path, forks, algorithm)
     cfg = small_synth(algorithm)
     forked = run_experiment(cfg, str(tmp_path / "process"))
     assert len(forks) == 1
+    # A fork copies only the calling thread, so the run's threads start after it.
+    assert not [name for name in forks.threads[0] if name.startswith(RUN_THREADS)]
     inline = inline_run(monkeypatch, cfg, tmp_path / "inline")
     assert len(forks) == 1
     assert forked.summary["updates"] > 0

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import spykersim.experiment as experiment
 import spykersim.models as models
 import spykersim.protocols.spyker as spyker
+import spykersim.workers as workers
 from spykersim.config import ALGORITHMS, from_dict
 from spykersim.errors import NumericsError
 from spykersim.experiment import build_experiment, run_experiment
@@ -89,7 +89,7 @@ def test_worker_runs_equal_inline_runs(monkeypatch, tmp_path, algorithm):
     assert seen and all(seen)
     seen.clear()
     with monkeypatch.context() as m:
-        m.setattr(experiment, "_training_worker", lambda built: None)
+        m.setattr(workers, "_training_worker", lambda built: None)
         inline = run_experiment(cfg, str(tmp_path / "inline"))
     assert seen and not any(seen)
     assert threaded.summary["updates"] > 0
@@ -111,7 +111,7 @@ def test_sending_a_pending_update_does_not_train(monkeypatch):
     hold = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as trainer:
         blocker = trainer.submit(hold.wait, 10)
-        client.trainer = partial(experiment._Training, trainer)
+        client.trainer = partial(workers._Training, trainer)
         try:
             serve(client, outbox, ModelDispatch(built.template.params, 0.0, 0.3))
             update = outbox.sent[-1]
@@ -137,7 +137,7 @@ def test_dispatched_and_trained_params_are_read_only():
     outbox = Outbox()
     dispatch = ModelDispatch(built.template.params.copy(), 0.0, 0.3)
     with ThreadPoolExecutor(max_workers=1) as trainer:
-        client.trainer = partial(experiment._Training, trainer)
+        client.trainer = partial(workers._Training, trainer)
         serve(client, outbox, dispatch)
         with pytest.raises(ValueError, match="read-only"):
             dispatch.params[0] = 1.0
@@ -207,7 +207,7 @@ def test_logistic_regression_starts_no_training_thread(monkeypatch):
 
     monkeypatch.setattr(TrainingClient, "handle", watched)
     monkeypatch.setattr(os, "fork", recorded)
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     cfg = from_dict({"preset": "desk-synth", "seed": 3, "horizon_ms": 1000.0})
     assert cfg.model_kind == models.LOGREG
     assert run_experiment(cfg).summary["updates"] > 0
@@ -230,11 +230,11 @@ def posting_run(monkeypatch, kind):
     if kind == "process":
         if not hasattr(os, "fork"):
             pytest.skip("no os.fork")
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
         cfg = from_dict({"preset": "desk-synth", "seed": 3, "horizon_ms": 1000.0})
     else:
         cfg = small_mnist()
-    start = (lambda built: None) if kind == "inline" else experiment._training_worker
+    start = (lambda built: None) if kind == "inline" else workers._training_worker
     posts, clients = [], []
 
     def recording(sim, client, trainer):
@@ -254,7 +254,7 @@ def posting_run(monkeypatch, kind):
         clients.extend(built.clients)
         return stop
 
-    monkeypatch.setattr(experiment, "_training_worker", started)
+    monkeypatch.setattr(workers, "_training_worker", started)
     return cfg, posts, clients
 
 
@@ -308,7 +308,7 @@ def test_a_finished_job_releases_its_dispatched_params():
     params = built.template.params.copy()
     dispatched = weakref.ref(params)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        training = experiment._Training(pool, client._train, params, 0.3, 0)
+        training = workers._Training(pool, client._train, params, 0.3, 0)
         del params
         training.future.result(timeout=60)
     # Finished but not read: the job still holds its result, not its input.

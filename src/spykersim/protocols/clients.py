@@ -9,10 +9,11 @@ The training is posted when the service starts, through the client's
 update sent when the service ends carries what it returned: the trained
 parameters from the default, ``train_inline``, or a pending job from the
 run's training worker (``workers.py``), resolved when the home server
-reads the update's parameters.  A job reads only the read-only dispatched
-parameters, the client's fixed shard and a generator seeded from (client
-seed, dispatch round), so its result does not depend on which thread or
-process runs it, or when.
+reads the update's parameters.  A service that ends past the simulator's
+horizon is never handled, so its training is not posted.  A job reads
+only the read-only dispatched parameters, the client's fixed shard and a
+generator seeded from (client seed, dispatch round), so its result does
+not depend on which thread or process runs it, or when.
 """
 
 from __future__ import annotations
@@ -76,8 +77,10 @@ class TrainingClient(Node):
         # The job may read these on another thread while the server moves
         # on; a write into them now raises instead of racing it.
         params.setflags(write=False)
-        self.training = self.trainer(self._train, params, msg.lr, dispatch)
-        return self.training_delay_ms * self.epochs
+        delay = self.training_delay_ms * self.epochs
+        if sim.now + delay <= sim.horizon:
+            self.training = self.trainer(self._train, params, msg.lr, dispatch)
+        return delay
 
     def handle(self, sim: Simulator, src: int, msg) -> None:
         trained, self.training = self.training, None

@@ -174,6 +174,8 @@ class Simulator:
         self.on_event = on_event
         self.nodes: dict[int, Node] = {}
         self.now = 0.0
+        # No event after this time is processed; set by run.
+        self.horizon = math.inf
         self.events_processed = 0
         self.stop_reason = "quiescent"
         self.tokens_in_flight = 0
@@ -279,7 +281,7 @@ class Simulator:
         heap, pop = self._heap, heapq.heappop
         nodes, queues, busy = self.nodes, self._queues, self._busy
         hash_update = self._hasher.update
-        horizon = math.inf if horizon_ms is None else horizon_ms
+        self.horizon = horizon = math.inf if horizon_ms is None else horizon_ms
         while heap:
             if heap[0][0] > horizon:
                 self.now = horizon_ms

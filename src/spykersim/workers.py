@@ -1,45 +1,50 @@
 """A run's workers, which ``run_workers(built)`` starts and stops.
 
 The event loop runs on the calling thread.  Each run owns up to two
-workers: a thread that scores the evaluations (``_Evaluator``), and a
-training worker that every client gets as its ``trainer``, called when
-its simulated training starts, so the worker runs a whole training delay
-ahead of the loop.  An MLP training is mostly BLAS calls that release the
-interpreter lock, so MLP runs train on one thread (``_Training``).  A
-logistic-regression training is mostly Python, which a thread would run
-under the loop's lock, so it goes to one forked process
-(``TrainingProcess``) where ``os.fork`` exists, the process may use two
-CPUs and no other thread runs (a fork copies only the calling thread, so
-a lock another thread holds would stay locked in the child); otherwise it
-stays inline.  The training worker starts first, so the fork comes after
-the build and before any run thread, and the child holds the run's
-clients, shards, seeds and BLAS pin (and any monkeypatch) as they are.  A
-reader runs a job the worker has not started, so a server never waits
-behind trainings that are not due yet.  Worker threads read only arrays
-that no one writes, the process runs the same training on the same
-inputs as the loop, and the loop waits wherever it needs a result, so
-every artifact is the same as with all work on one thread.  On every exit
-both workers stop, dropping each client's posted training (up to one per
-client, for a service the horizon cut short), and every client gets
-``train_inline`` back.
+workers: a training worker that every client gets as its ``trainer``,
+called when its simulated training starts, so the worker runs a whole
+training delay ahead of the loop, and a worker that scores the
+evaluations (``_Evaluator``).  An MLP training is mostly BLAS calls that
+release the interpreter lock, so MLP runs train on one thread
+(``_Training``) and score on another.  A logistic-regression training is
+mostly Python, which a thread would run under the loop's lock, so it goes
+to one forked process (``TrainingProcess``) where ``os.fork`` exists, the
+process may use two CPUs and no other thread runs (a fork copies only the
+calling thread, so a lock another thread holds would stay locked in the
+child); that process scores the run's evaluations too, so no thread
+shares the loop's core.  Otherwise training stays inline and a thread
+scores.  The training worker starts first, so the fork comes after the
+build and before any run thread, and the child holds the run's clients,
+shards, seeds, test set, scoring buffers and BLAS pin (and any
+monkeypatch) as they are.  A reader runs a job the worker has not
+started, so a server never waits behind trainings that are not due yet.
+Worker threads read only arrays that no one writes, the process runs the
+same training and scoring on the same inputs as the loop, and the loop
+waits wherever it needs a result, so every artifact is the same as with
+all work on one thread.  On every exit both workers stop, dropping each
+client's posted training (one cut short by a target stop or an error),
+and every client gets ``train_inline`` back.
 
 In the process, each client owns one slot of an anonymous shared
 ``mmap``: the dispatched parameters, which the child overwrites with the
 trained ones, and a record of the job's lr, dispatch round and state.
 Client i's trainer, ``partial(proc.submit, i)``, fills the slot and writes
-i to a request pipe; a slot is reused only after its job has been
-resolved.  A process-shared lock gives each job to exactly one side: the
-child claims a job still queued and reads its lr and round under the
-lock, so a request whose job the loop has already run trains the slot's
-current job; a reader whose job the child is running meanwhile runs the
-oldest job the child has not started.  A finished job is copied out
-read-only; one that failed in the child is run again by its reader, which
-raises the same error as inline training.  After every job the child
-writes one byte to a done pipe, on which a waiting reader blocks; a byte
-that finds the pipe full is dropped, since the bytes already there wake
-the reader.  Both sides spin for about 2 ms before they block, because
-right after a sleep a ~100 µs job takes about twice as long on a
-virtualised host.
+i to a request pipe.  A ring of ``EVAL_SLOTS`` more slots holds
+evaluations: the loop writes the eval model's parameters into the next
+one, and the child writes back its accuracy and digest.  Requests of both
+kinds share the pipe, first in, first out, and a slot is reused only
+after its job has been resolved.  A process-shared lock gives each job to
+exactly one side: the child claims a job still queued and reads its
+record under the lock, so a request whose job the loop has already run
+runs the slot's current job; a reader whose job the child is running
+meanwhile runs the oldest job the child has not started.  A finished job
+is copied out, trained parameters read-only; one that failed in the child
+is run again by its reader, which raises the same error as on the loop.
+After every job the child writes one byte to a done pipe, on which a
+waiting reader blocks; a byte that finds the pipe full is dropped, since
+the bytes already there wake the reader.  Both sides spin for about 2 ms
+before they block, because right after a sleep a ~100 µs job takes about
+twice as long on a virtualised host.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterator
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from typing import TYPE_CHECKING
@@ -71,6 +76,8 @@ if TYPE_CHECKING:
 
 IDLE, QUEUED, RUNNING, DONE, FAILED = range(5)
 SPIN_S = 0.002
+# Evaluations in flight in a forked run; a slot is reused once its score is read.
+EVAL_SLOTS = 8
 # A lock held longer than this is checked for a dead holder.
 LOCK_CHECK_S = 0.5
 
@@ -81,9 +88,9 @@ perf = time.perf_counter
 def run_workers(built: BuiltExperiment) -> Iterator[_Evaluator]:
     """Start the run's training worker, then its evaluator, and yield the
     evaluator; stop both and reset every client's trainer on every exit."""
-    stop_training = _training_worker(built)
+    stop_training, proc = _training_worker(built)
     try:
-        evaluator = _Evaluator(built)
+        evaluator = _Evaluator(built, proc)
         try:
             yield evaluator
         finally:
@@ -97,20 +104,23 @@ def run_workers(built: BuiltExperiment) -> Iterator[_Evaluator]:
             client.trainer, client.training = train_inline, None
 
 
-def _training_worker(built: BuiltExperiment) -> Callable[[], None] | None:
+def _training_worker(
+    built: BuiltExperiment,
+) -> tuple[Callable[[], None] | None, TrainingProcess | None]:
     """Start the run's training worker and give it to every client; return
-    the function that stops it, or None when training stays inline."""
+    the function that stops it (None when training stays inline) and the
+    forked process, if there is one."""
     if built.template.kind == MLP:
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-train")
         for client in built.clients:
             client.trainer = partial(_Training, pool)
-        return partial(pool.shutdown, wait=True, cancel_futures=True)
+        return partial(pool.shutdown, wait=True, cancel_futures=True), None
     if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() > 1:
-        return None
-    proc = TrainingProcess(built.clients)
+        return None, None
+    proc = TrainingProcess(built.clients, _Scorer(built))
     for i, client in enumerate(built.clients):
         client.trainer = partial(proc.submit, i)
-    return proc.close
+    return proc.close, proc
 
 
 class _Training:
@@ -145,40 +155,60 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class _Scorer:
+    """A model's test accuracy and the SHA-256 of its ``<f8`` bytes, from
+    the float64 operations of ``data.evaluate`` into buffers allocated once."""
+
+    def __init__(self, built: BuiltExperiment):
+        template, test = built.template, built.test
+        self.template = template
+        self.X = test.features64
+        self.labels = test.labels
+        n = test.n_samples
+        self.logits = np.empty((n, template.n_classes))
+        self.hidden = np.empty((n, template.hidden_dim)) if template.kind == MLP else None
+        self.pred = np.empty(n, dtype=np.intp)
+        self.hits = np.empty(n, dtype=bool)
+
+    def __call__(self, flat: np.ndarray) -> tuple[float, bytes]:
+        model = self.template.with_params(flat)
+        pred = predict_into(model, self.X, self.logits, self.hidden, self.pred)
+        acc = float(np.mean(np.equal(pred, self.labels, out=self.hits)))
+        return acc, hashlib.sha256(np.ascontiguousarray(flat, dtype="<f8")).digest()
+
+
 class _Evaluator:
-    """Scores a run's eval model on one worker thread, skipping repeats.
+    """Scores a run's eval model off the event loop, skipping repeats.
 
     A call snapshots the eval model's inputs by reference: the global or
     cloud parameters, or every spyker server's parameters and age.  Servers
     replace their parameter arrays and never write them, so a snapshot with
     the same arrays and ages scores the same model, and the previous
-    result is reused.  Otherwise the worker scores it with the float64
-    operations of ``BuiltExperiment.eval_model`` and ``data.evaluate``, in
-    the same order, into buffers allocated once, and takes the SHA-256 of
-    the model's ``<f8`` bytes.  A call returns a Future of (accuracy,
-    digest); calls on an unchanged snapshot share one.
+    result is reused.  Otherwise the model is built with the float64
+    operations of ``BuiltExperiment.eval_model``, in the same order, and
+    scored by a ``_Scorer``.  With a forked ``TrainingProcess`` the loop
+    writes the model into one of the process's eval slots and the child
+    scores it; otherwise one worker thread builds and scores it.  A call
+    returns a pending (accuracy, digest) with a ``result()`` method; calls
+    on an unchanged snapshot share one.
     """
 
-    def __init__(self, built: BuiltExperiment):
+    def __init__(self, built: BuiltExperiment, proc: TrainingProcess | None):
         self.built = built
-        cfg, template, test = built.cfg, built.template, built.test
-        self.pooled = cfg.algorithm in SPYKER_MERGE
-        self.uniform = cfg.eval_target == "mean"
-        self.X = test.features64
-        self.labels = test.labels
-        n = test.n_samples
+        self.proc = proc
+        self.pooled = built.cfg.algorithm in SPYKER_MERGE
+        self.uniform = built.cfg.eval_target == "mean"
         if self.pooled:
-            self.stack = np.empty((len(built.servers), template.dim))
-            self.mean = np.empty(template.dim)
-        self.logits = np.empty((n, template.n_classes))
-        self.hidden = np.empty((n, template.hidden_dim)) if template.kind == MLP else None
-        self.pred = np.empty(n, dtype=np.intp)
-        self.hits = np.empty(n, dtype=bool)
+            self.stack = np.empty((len(built.servers), built.template.dim))
         self._last: tuple | None = None
-        self._scored: Future | None = None
-        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-eval")
+        self._scored = None
+        if proc is None:
+            self.scorer = _Scorer(built)
+            if self.pooled:
+                self.mean = np.empty(built.template.dim)
+            self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-eval")
 
-    def __call__(self) -> Future:
+    def __call__(self):
         built = self.built
         if self.pooled:
             params = tuple(s.model.params for s in built.servers)
@@ -189,47 +219,62 @@ class _Evaluator:
         last = self._last
         if last is None or ages != last[1] or any(a is not b for a, b in zip(params, last[0])):
             self._last = (params, ages)
-            self._scored = self._pool.submit(self._score, params, ages)
+            if self.proc is None:
+                self._scored = self._pool.submit(self._score, params, ages)
+            else:
+                self._scored = self.proc.score(partial(self._model_into, params, ages))
         return self._scored
 
     def _score(self, params: tuple, ages: tuple) -> tuple[float, bytes]:
-        if self.pooled:
-            stack = np.stack(params, out=self.stack)
-            a = np.array(ages)
-            if self.uniform or a.sum() <= 0:
-                weights = np.full(len(params), 1.0 / len(params))
-            else:
-                weights = a / a.sum()
-            flat = np.matmul(weights, stack, out=self.mean)
+        flat = self._model_into(params, ages, self.mean) if self.pooled else params[0]
+        return self.scorer(flat)
+
+    def _model_into(self, params: tuple, ages: tuple, out: np.ndarray) -> np.ndarray:
+        """Write the eval model's parameters into ``out``."""
+        if not self.pooled:
+            np.copyto(out, params[0])
+            return out
+        stack = np.stack(params, out=self.stack)
+        a = np.array(ages)
+        if self.uniform or a.sum() <= 0:
+            weights = np.full(len(params), 1.0 / len(params))
         else:
-            flat = params[0]
-        model = self.built.template.with_params(flat)
-        pred = predict_into(model, self.X, self.logits, self.hidden, self.pred)
-        acc = float(np.mean(np.equal(pred, self.labels, out=self.hits)))
-        return acc, hashlib.sha256(np.ascontiguousarray(flat, dtype="<f8")).digest()
+            weights = a / a.sum()
+        return np.matmul(weights, stack, out=out)
 
     def close(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        if self.proc is None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 class TrainingProcess:
-    """One forked trainer for a run's clients; ``partial(submit, i)`` is
-    client i's ``trainer``.  ``close()`` kills and reaps the child and drops
-    every job it has not finished."""
+    """One forked worker for a run's clients and its evaluations;
+    ``partial(submit, i)`` is client i's ``trainer``, and ``score(fill)``
+    posts an evaluation to be scored by ``scorer``.  ``close()`` kills and
+    reaps the child and drops every job it has not finished."""
 
-    def __init__(self, clients: list):
+    def __init__(self, clients: list, scorer: Callable[[np.ndarray], tuple] | None = None):
         n, dim = len(clients), clients[0].template.dim
-        self._mm = mmap.mmap(-1, 8 * (3 * n + n * dim))
+        m = n + EVAL_SLOTS
+        head = 8 * (3 * m + 5 * EVAL_SLOTS)
+        self._mm = mmap.mmap(-1, head + 8 * m * dim)
         words = memoryview(self._mm)
-        # [state x n] [dispatch round x n] [lr x n] [params x n x dim]
-        self._state = words[: 8 * n].cast("q")
-        self._round = words[8 * n : 8 * 2 * n].cast("q")
-        self._lr = words[8 * 2 * n : 8 * 3 * n].cast("d")
-        self._params = np.ndarray((n, dim), np.float64, self._mm, 8 * 3 * n)
+        # [state x m] [dispatch round x m] [lr x m] [accuracy x E] [digest x E x 32 B]
+        # [params x m x dim], where m counts the n clients' slots and then the
+        # E eval slots; an eval slot's parameters are the model to score.
+        self._state = words[: 8 * m].cast("q")
+        self._round = words[8 * m : 8 * 2 * m].cast("q")
+        self._lr = words[8 * 2 * m : 8 * 3 * m].cast("d")
+        self._acc = words[8 * 3 * m : 8 * (3 * m + EVAL_SLOTS)].cast("d")
+        self._digest = words[8 * (3 * m + EVAL_SLOTS) : head]
+        self._params = np.ndarray((m, dim), np.float64, self._mm, head)
         words.release()
+        self._n = n
+        self._scorer = scorer
+        self._next_eval = 0
         self._lock = multiprocessing.get_context("fork").Lock()
-        self._requests = [np.int32(i).tobytes() for i in range(n)]
-        self._jobs: list[_Job | None] = [None] * n
+        self._requests = [np.int32(i).tobytes() for i in range(m)]
+        self._jobs: list[_Job | None] = [None] * m
         self._queue: deque[_Job] = deque()
         self._closed = False
         self._status: int | None = None
@@ -275,10 +320,10 @@ class TrainingProcess:
             if not data:
                 return
             for i in np.frombuffer(data, np.int32).tolist():
-                self._run_in_child(clients[i], i, done_w, parent)
+                self._run_in_child(clients, i, done_w, parent)
             idle_since = perf()
 
-    def _run_in_child(self, client, i: int, done_w: int, parent: int) -> None:
+    def _run_in_child(self, clients: list, i: int, done_w: int, parent: int) -> None:
         self._acquire_in_child(parent)
         try:
             if self._state[i] != QUEUED:
@@ -288,11 +333,14 @@ class TrainingProcess:
         finally:
             self._lock.release()
         try:
-            trained = client._train(self._params[i], lr, dispatch)
+            if i < self._n:
+                self._params[i] = clients[i]._train(self._params[i], lr, dispatch)
+            else:
+                k = i - self._n
+                self._acc[k], self._digest[32 * k : 32 * k + 32] = self._scorer(self._params[i])
         except Exception:
             outcome = FAILED
         else:
-            self._params[i] = trained
             outcome = DONE
         self._acquire_in_child(parent)
         self._state[i] = outcome
@@ -313,17 +361,35 @@ class TrainingProcess:
         """Post client i's job ``train(params, lr, dispatch)``, where ``train``
         is that client's ``_train``; the child runs its own copy of the same
         client."""
-        prev = self._jobs[i]
-        if prev is not None:
-            # The slot may still hold an unread result; take it before reuse.
-            self._resolve(prev)
-        np.copyto(self._params[i], params)
+        np.copyto(self._free(i), params)
         self._acquire()
         self._lr[i] = lr
         self._round[i] = dispatch
         self._state[i] = QUEUED
         self._lock.release()
-        job = self._jobs[i] = _Job(self, i, train, lr, dispatch)
+        return self._post(_Job(self, i, partial(train, lr=lr, dispatch=dispatch)))
+
+    def score(self, fill: Callable[[np.ndarray], object]) -> "_Job":
+        """Post an evaluation: ``fill(slot)`` writes the model's parameters
+        into the next eval slot, which the child scores with its own copy of
+        the scorer."""
+        i = self._n + self._next_eval
+        self._next_eval = (self._next_eval + 1) % EVAL_SLOTS
+        fill(self._free(i))
+        self._acquire()
+        self._state[i] = QUEUED
+        self._lock.release()
+        return self._post(_Job(self, i, self._scorer))
+
+    def _free(self, i: int) -> np.ndarray:
+        """Slot i's parameters, once the slot's last job has its result."""
+        prev = self._jobs[i]
+        if prev is not None:
+            self._resolve(prev)
+        return self._params[i]
+
+    def _post(self, job: "_Job") -> "_Job":
+        self._jobs[job.slot] = job
         queue = self._queue
         while queue and queue[0].done:
             queue.popleft()
@@ -331,7 +397,7 @@ class TrainingProcess:
         if len(queue) > 2 * len(self._jobs):
             self._queue = deque(j for j in queue if not j.done)
         try:
-            os.write(self._req_w, self._requests[i])
+            os.write(self._req_w, self._requests[job.slot])
         except BrokenPipeError as err:
             raise self._died("took no more jobs") from err
         return job
@@ -341,7 +407,7 @@ class TrainingProcess:
         it, or collect the child's."""
         if self._closed:
             raise RuntimeError(
-                f"the training in slot {job.slot} was dropped when its run ended"
+                f"the job in slot {job.slot} was dropped when its run ended"
             )
         if self._claim(job.slot):
             self._run(job)
@@ -360,11 +426,11 @@ class TrainingProcess:
     def _run(self, job: "_Job") -> None:
         """Run a job on the loop, from its slot, keeping its result or error."""
         try:
-            trained = job.train(self._params[job.slot], job.lr, job.dispatch)
+            value = job.work(self._params[job.slot])
         except Exception as err:
             self._finish(job, None, err)
         else:
-            self._finish(job, trained, None)
+            self._finish(job, value, None)
 
     def _collect(self, job: "_Job") -> None:
         """Wait for the child's result; meanwhile run the oldest jobs it has
@@ -380,17 +446,20 @@ class TrainingProcess:
         outcome = state[i]
         state[i] = IDLE
         self._lock.release()
-        if outcome == DONE:
+        if outcome != DONE:
+            # It failed in the child: its slot still holds the input, and
+            # running it again here raises the same error as on the loop.
+            self._run(job)
+        elif i < self._n:
             trained = self._params[i].copy()
             trained.setflags(write=False)
             self._finish(job, trained, None)
         else:
-            # It failed in the child: its slot still holds the input, and
-            # running it again here raises the same error as inline.
-            self._run(job)
+            k = i - self._n
+            self._finish(job, (self._acc[k], self._digest[32 * k : 32 * k + 32].tobytes()), None)
 
     def _finish(self, job: "_Job", value, error) -> None:
-        job.value, job.error, job.done, job.train = value, error, True, None
+        job.value, job.error, job.done, job.work = value, error, True, None
         self._jobs[job.slot] = None
 
     def _help(self) -> bool:
@@ -448,30 +517,27 @@ class TrainingProcess:
         self._unmap()
 
     def _unmap(self) -> None:
-        for view in (self._state, self._round, self._lr):
+        for view in (self._state, self._round, self._lr, self._acc, self._digest):
             view.release()
         self._params = None
         self._mm.close()
 
 
 class _Job:
-    """A posted job; ``result()`` returns the trained, read-only parameters
-    or raises the training's error."""
+    """A posted job; ``result()`` returns its value (the trained, read-only
+    parameters, or an evaluation's accuracy and digest) or raises its error.
+    ``work(slot)`` computes the value from the job's slot on the loop."""
 
-    __slots__ = (
-        "proc", "slot", "train", "lr", "dispatch", "done", "value", "error", "__weakref__"
-    )
+    __slots__ = ("proc", "slot", "work", "done", "value", "error", "__weakref__")
 
-    def __init__(self, proc: TrainingProcess, slot: int, train, lr: float, dispatch: int):
+    def __init__(self, proc: TrainingProcess, slot: int, work: Callable[[np.ndarray], object]):
         self.proc = proc
         self.slot = slot
-        self.train = train
-        self.lr = lr
-        self.dispatch = dispatch
+        self.work = work
         self.done = False
         self.value = self.error = None
 
-    def result(self) -> np.ndarray:
+    def result(self):
         if not self.done:
             self.proc._resolve(self)
         if self.error is not None:

@@ -1,25 +1,31 @@
-"""The run's evaluator: worker-thread scoring, skipped repeats, BLAS pinning,
-and parameters that repeat across processes and BLAS thread settings."""
+"""The run's evaluator: scoring on a worker thread or in the forked training
+process, skipped repeats, BLAS pinning, and parameters that repeat across
+processes and BLAS thread settings."""
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
 from concurrent.futures import Future
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spykersim.blas as blas
 import spykersim.experiment as experiment
 import spykersim.workers as workers
+import spykersim.models as models
 from spykersim.config import ALGORITHMS, SINGLE_SERVER, apply_overrides, from_dict
 from spykersim.data import evaluate
-from spykersim.experiment import run_experiment
+from spykersim.experiment import build_experiment, run_experiment
 from spykersim.simulation import RunManifest
 from test_config_cli import TINY
+from test_training_process import assert_reaped, forks, wait_for_state  # noqa: F401
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 bundled_openblas = pytest.mark.skipif(
@@ -38,7 +44,7 @@ class SequentialEvaluator:
     """The reference: ``data.evaluate`` of a copy of the eval model, and the
     SHA-256 of its ``<f8`` bytes, on the calling thread at every evaluation."""
 
-    def __init__(self, built):
+    def __init__(self, built, proc=None):
         self.built = built
 
     def __call__(self):
@@ -85,11 +91,13 @@ def test_mnist_spyker_rows_equal_sequential_evaluation(monkeypatch):
 
 
 def test_fedavg_skips_unchanged_models(monkeypatch):
-    passes = []
+    # Counted in shared memory, since a forked run scores in its child.
+    passes = multiprocessing.get_context("fork").Value("i", 0)
     forward = workers.predict_into
 
     def counted(*args):
-        passes.append(1)
+        with passes.get_lock():
+            passes.value += 1
         return forward(*args)
 
     monkeypatch.setattr(workers, "predict_into", counted)
@@ -97,7 +105,7 @@ def test_fedavg_skips_unchanged_models(monkeypatch):
     # A FedAvg model changes once per round, and rounds are longer than the
     # evaluation interval.
     assert len(res.rows) == 31
-    assert 1 < len(passes) < len(res.rows) // 2
+    assert 1 < passes.value < len(res.rows) // 2
 
 
 @pytest.mark.parametrize(
@@ -120,15 +128,164 @@ def test_target_stops_at_the_same_row(monkeypatch, algorithm, target, rows, stop
 
 
 @pytest.mark.parametrize("extra", [(), ("target_accuracy=0.99",)])
-def test_worker_error_reaches_the_caller(monkeypatch, extra):
+def test_worker_error_reaches_the_caller(monkeypatch, forks, extra):
+    loop = os.getpid()
+    failed_in_child = multiprocessing.get_context("fork").Value("i", 0)
+
     def broken(*args):
+        if os.getpid() != loop:
+            failed_in_child.value = 1
         raise FloatingPointError("forward pass failed in the worker")
 
     monkeypatch.setattr(workers, "predict_into", broken)
     before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="forward pass failed in the worker"):
-        run_experiment(tiny("spyker", *extra))
+    # The run scores in its forked training process where it can fork, and
+    # on the eval thread with one CPU.
+    for cpus in (workers._usable_cpus(), 1):
+        with monkeypatch.context() as m:
+            m.setattr(workers, "_usable_cpus", lambda: cpus)
+            with pytest.raises(FloatingPointError, match="forward pass failed in the worker"):
+                run_experiment(tiny("spyker", *extra))
+        assert threading.active_count() == before
+    assert_reaped(forks)
+    # Read at once, a target run's first score may be run by the loop; the
+    # other run reads every score after the child has failed the first.
+    if forks and not extra:
+        assert failed_in_child.value == 1
+
+
+# -- scoring in the forked training process ----------------------------------------
+
+
+forking = pytest.mark.skipif(
+    not hasattr(os, "fork") or workers._usable_cpus() < 2,
+    reason="logistic-regression runs fork no process without fork or a second CPU",
+)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The names of the threads started while a test runs."""
+    names = []
+    start = threading.Thread.start
+
+    def recorded(self):
+        names.append(self.name)
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return names
+
+
+@forking
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_forked_runs_score_in_the_child(monkeypatch, forks, started_threads, algorithm):
+    loop = os.getpid()
+    in_child = multiprocessing.get_context("fork").Value("i", 0)
+    forward = workers.predict_into
+
+    def counted(*args):
+        if os.getpid() != loop:
+            with in_child.get_lock():
+                in_child.value += 1
+        return forward(*args)
+
+    monkeypatch.setattr(workers, "predict_into", counted)
+    cfg = tiny(algorithm, "eval_interval_ms=100")
+    before = threading.active_count()
+    got = run_experiment(cfg)
+    assert len(got.rows) == 16 > workers.EVAL_SLOTS
+    assert len(forks) == 1 and in_child.value > 0
+    assert not [name for name in started_threads if name.startswith("spykersim-eval")]
     assert threading.active_count() == before
+    assert_reaped(forks)
+    assert_same_run(got, sequential(monkeypatch, cfg))
+
+
+@forking
+def test_a_score_that_fails_in_the_child_is_scored_again_by_its_reader(monkeypatch, forks):
+    loop = os.getpid()
+    failed_in_child = multiprocessing.get_context("fork").Value("i", 0)
+    forward = workers.predict_into
+
+    def fails_in_child(*args):
+        if os.getpid() != loop:
+            with failed_in_child.get_lock():
+                failed_in_child.value += 1
+            raise FloatingPointError("forward pass failed in the child")
+        return forward(*args)
+
+    monkeypatch.setattr(workers, "predict_into", fails_in_child)
+    cfg = tiny("fedasync", "eval_interval_ms=100")
+    got = run_experiment(cfg)
+    assert len(forks) == 1 and failed_in_child.value > 0
+    assert_reaped(forks)
+    assert_same_run(got, sequential(monkeypatch, cfg))
+
+
+@forking
+def test_more_scores_than_eval_slots_resolve_while_the_child_is_busy(monkeypatch, forks):
+    """With the child held in a training, every posted evaluation after the
+    ring's first round reuses a slot whose score is still queued, which the
+    loop then scores itself; the last round is scored by the child once it
+    is free.  Each score is the reference accuracy and digest."""
+    built = build_experiment(tiny("spyker"))
+    gate = multiprocessing.get_context("fork").Event()
+    loop = os.getpid()
+    train = models.local_training
+
+    def held(*args):
+        if os.getpid() != loop:
+            gate.wait(30)
+        return train(*args)
+
+    monkeypatch.setattr(models, "local_training", held)
+    rng = np.random.default_rng(7)
+    models_to_score = [
+        built.template.params + rng.normal(0.0, 0.5, built.template.dim)
+        for _ in range(3 * workers.EVAL_SLOTS)
+    ]
+    expected = [
+        (evaluate(built.template.with_params(v), built.test),
+         hashlib.sha256(v.astype("<f8").tobytes()).digest())
+        for v in models_to_score
+    ]
+    n = len(built.clients)
+    proc = workers.TrainingProcess(built.clients, workers._Scorer(built))
+    try:
+        client = built.clients[0]
+        training = proc.submit(0, client._train, built.template.params, 0.1, 0)
+        wait_for_state(proc, 0, workers.RUNNING)
+        scores = [proc.score(partial(np.copyto, src=v)) for v in models_to_score]
+        last_round = scores[-workers.EVAL_SLOTS:]
+        assert all(s.done for s in scores[: -workers.EVAL_SLOTS])
+        assert not any(s.done for s in last_round)
+        gate.set()
+        for k in range(workers.EVAL_SLOTS):
+            wait_for_state(proc, n + k, workers.DONE)
+        assert [s.result() for s in scores] == expected
+        assert training.result().tobytes() == client._train(built.template.params, 0.1, 0).tobytes()
+    finally:
+        gate.set()
+        proc.close()
+    assert_reaped(forks)
+
+
+@forking
+@pytest.mark.parametrize("algorithm, target", [("spyker", 0.35), ("fedavg", 0.8)])
+def test_target_stops_at_the_same_row_in_the_child_and_on_the_thread(
+    monkeypatch, forks, algorithm, target
+):
+    cfg = tiny(algorithm, "horizon_ms=6000", "eval_interval_ms=100", f"target_accuracy={target}")
+    forked = run_experiment(cfg)
+    assert len(forks) == 1 and forked.summary["stop_reason"] == "target"
+    with monkeypatch.context() as m:
+        # With one CPU, training stays inline and the eval thread scores.
+        m.setattr(workers, "_usable_cpus", lambda: 1)
+        threaded = run_experiment(cfg)
+    assert len(forks) == 1
+    assert_same_run(forked, threaded)
+    assert_reaped(forks)
 
 
 def test_main_thread_error_stops_the_worker(monkeypatch):

@@ -5,11 +5,13 @@ posted job left behind."""
 
 import gc
 import hashlib
+import math
 import os
 import re
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -58,6 +60,9 @@ def train_names() -> set[str]:
 class Outbox:
     """Stands in for the simulator: keeps what a client sends, and its size."""
 
+    now = 0.0
+    horizon = math.inf
+
     def __init__(self):
         self.sent = []
         self.nbytes = []
@@ -89,7 +94,7 @@ def test_worker_runs_equal_inline_runs(monkeypatch, tmp_path, algorithm):
     assert seen and all(seen)
     seen.clear()
     with monkeypatch.context() as m:
-        m.setattr(workers, "_training_worker", lambda built: None)
+        m.setattr(workers, "_training_worker", lambda built: (None, None))
         inline = run_experiment(cfg, str(tmp_path / "inline"))
     assert seen and not any(seen)
     assert threaded.summary["updates"] > 0
@@ -234,7 +239,7 @@ def posting_run(monkeypatch, kind):
         cfg = from_dict({"preset": "desk-synth", "seed": 3, "horizon_ms": 1000.0})
     else:
         cfg = small_mnist()
-    start = (lambda built: None) if kind == "inline" else workers._training_worker
+    start = (lambda built: (None, None)) if kind == "inline" else workers._training_worker
     posts, clients = [], []
 
     def recording(sim, client, trainer):
@@ -282,6 +287,28 @@ def test_training_is_posted_when_the_service_starts(monkeypatch, kind):
         for (_, posted_at, _, _), end in zip(mine, ends):
             assert posted_at + service == end
     assert len(posts) > len(clients)
+
+
+def test_no_training_is_posted_past_the_horizon(monkeypatch):
+    """A service that ends exactly at the horizon is handled, so its
+    training is posted; none that ends after it is."""
+    cfg, posts, clients = posting_run(monkeypatch, "inline")
+    handled = []
+    handle = TrainingClient.handle
+
+    def watched(self, sim, src, msg):
+        handled.append((self.node_id, sim.now))
+        return handle(self, sim, src, msg)
+
+    monkeypatch.setattr(TrainingClient, "handle", watched)
+    run_experiment(cfg)
+    # A run cut at the last service end of a longer run has the same
+    # schedule up to that time.
+    last = max(handled, key=lambda h: h[1])
+    handled.clear(), posts.clear(), clients.clear()
+    res = run_experiment(replace(cfg, horizon_ms=last[1]))
+    assert res.summary["sim_time_ms"] == last[1] and last in handled
+    assert sorted(cid for cid, *_ in posts) == sorted(cid for cid, _ in handled)
 
 
 @pytest.mark.parametrize("kind", TRAINERS)

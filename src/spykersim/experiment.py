@@ -97,10 +97,19 @@ def load_task(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     if cfg.dataset == "mnist" and root:
         train = load_idx(os.path.join(root, MNIST_FILES[0]), os.path.join(root, MNIST_FILES[1]))
         test = load_idx(os.path.join(root, MNIST_FILES[2]), os.path.join(root, MNIST_FILES[3]))
-        if train.dim != cfg.input_dim or train.n_classes < cfg.n_classes:
-            raise ConfigError(
-                f"dataset at {root} has dim {train.dim}, config expects {cfg.input_dim}"
-            )
+        for part, data in (("train", train), ("t10k", test)):
+            if data.dim != cfg.input_dim:
+                raise ConfigError(
+                    f"{part} set at {root} has dim {data.dim}, config expects "
+                    f"input_dim={cfg.input_dim}"
+                )
+            # A test set may lack the top label; a train set must hold them all.
+            too_few = part == "train" and data.n_classes < cfg.n_classes
+            if data.n_classes > cfg.n_classes or too_few:
+                raise ConfigError(
+                    f"{part} set at {root} has {data.n_classes} classes, config expects "
+                    f"n_classes={cfg.n_classes}"
+                )
         sub_seed = derive_seed(cfg.seed, _SUBSAMPLE)
         train = _stratified_subsample(train, cfg.n_samples, sub_seed, "mnist-train")
         test = _stratified_subsample(test, 2000, sub_seed + 1, "mnist-test")

@@ -1,29 +1,32 @@
-"""A run's workers, which ``run_workers(built)`` starts and stops.
+"""A run's worker, which ``run_workers(built)`` starts and stops.
 
-The event loop runs on the calling thread.  Each run owns up to two
-workers: a training worker that every client gets as its ``trainer``,
-called when its simulated training starts, so the worker runs a whole
-training delay ahead of the loop, and a worker that scores the
-evaluations (``_Evaluator``).  An MLP training is mostly BLAS calls that
-release the interpreter lock, so MLP runs train on one thread
-(``_Training``) and score on another.  A logistic-regression training is
-mostly Python, which a thread would run under the loop's lock, so it goes
-to one forked process (``TrainingProcess``) where ``os.fork`` exists, the
-process may use two CPUs and no other thread runs (a fork copies only the
-calling thread, so a lock another thread holds would stay locked in the
-child); that process scores the run's evaluations too, so no thread
-shares the loop's core.  Otherwise training stays inline and a thread
-scores.  The training worker starts first, so the fork comes after the
-build and before any run thread, and the child holds the run's clients,
-shards, seeds, test set, scoring buffers and BLAS pin (and any
-monkeypatch) as they are.  A reader runs a job the worker has not
-started, so a server never waits behind trainings that are not due yet.
-Worker threads read only arrays that no one writes, the process runs the
-same training and scoring on the same inputs as the loop, and the loop
-waits wherever it needs a result, so every artifact is the same as with
-all work on one thread.  On every exit both workers stop, dropping each
-client's posted training (one cut short by a target stop or an error),
-and every client gets ``train_inline`` back.
+The event loop runs on the calling thread.  Each run starts one worker,
+which ``_start_worker`` alone chooses: it gives every client its
+``trainer``, called when the client's simulated training starts, so the
+worker runs a whole training delay ahead of the loop; ``score(fill)``
+posts an evaluation, whose ``fill(buf)`` writes the eval model's
+parameters into a buffer of the worker's; and ``close()`` stops it.  The
+run's ``_Evaluator`` posts each new eval model to ``score``.  An MLP
+training is mostly BLAS calls that release the interpreter lock, so MLP
+runs train on one thread and score on another (``_Threads``).  A
+logistic-regression training is mostly Python, which a thread would run
+under the loop's lock, so it goes to one forked process
+(``TrainingProcess``) where ``os.fork`` exists, the process may use two
+CPUs and no other thread runs (a fork copies only the calling thread, so
+a lock another thread holds would stay locked in the child); that
+process scores the run's evaluations too, so no thread shares the loop's
+core.  Otherwise training stays inline and ``_Threads`` scores on its
+thread.  The worker starts before any run thread, so the fork comes
+after the build, and the child holds the run's clients, shards, seeds,
+test set, scoring buffers and BLAS pin (and any monkeypatch) as they
+are.  A reader runs a job the worker has not started, so a server never
+waits behind trainings that are not due yet.  Worker threads read only
+arrays that no one writes, each buffer is written by one thread only,
+the process runs the same training and scoring on the same inputs as the
+loop, and the loop waits wherever it needs a result, so every artifact
+is the same as with all work on one thread.  On every exit the worker
+stops, dropping each client's posted training (one cut short by a target
+stop or an error), and every client gets ``train_inline`` back.
 
 In the process, each client owns one slot of an anonymous shared
 ``mmap``: the dispatched parameters, which the child overwrites with the
@@ -60,7 +63,7 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterator
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from typing import TYPE_CHECKING
@@ -86,41 +89,59 @@ perf = time.perf_counter
 
 @contextmanager
 def run_workers(built: BuiltExperiment) -> Iterator[_Evaluator]:
-    """Start the run's training worker, then its evaluator, and yield the
-    evaluator; stop both and reset every client's trainer on every exit."""
-    stop_training, proc = _training_worker(built)
+    """Start the run's worker and yield the evaluator that scores through
+    it; stop the worker and reset every client's trainer on every exit."""
+    worker = _start_worker(built)
     try:
-        evaluator = _Evaluator(built, proc)
-        try:
-            yield evaluator
-        finally:
-            evaluator.close()
+        yield _Evaluator(built, worker.score)
     finally:
-        if stop_training is not None:
-            stop_training()
+        worker.close()
         # A posted training refers back to its client through ``_train``;
         # dropping it frees the run without waiting for a garbage collection.
         for client in built.clients:
             client.trainer, client.training = train_inline, None
 
 
-def _training_worker(
-    built: BuiltExperiment,
-) -> tuple[Callable[[], None] | None, TrainingProcess | None]:
-    """Start the run's training worker and give it to every client; return
-    the function that stops it (None when training stays inline) and the
-    forked process, if there is one."""
+def _start_worker(built: BuiltExperiment) -> _Threads | TrainingProcess:
+    """Start the run's worker, which gives every client its trainer."""
     if built.template.kind == MLP:
-        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-train")
-        for client in built.clients:
-            client.trainer = partial(_Training, pool)
-        return partial(pool.shutdown, wait=True, cancel_futures=True), None
+        return _Threads(built, train=True)
     if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() > 1:
-        return None, None
+        return _Threads(built)
     proc = TrainingProcess(built.clients, _Scorer(built))
     for i, client in enumerate(built.clients):
         client.trainer = partial(proc.submit, i)
-    return proc.close, proc
+    return proc
+
+
+class _Threads:
+    """A run's scoring thread and, with ``train``, its training thread, to
+    which every client posts its trainings as ``_Training`` jobs.
+
+    ``score(fill)`` posts ``fill(buf)`` and the scoring of ``buf`` to the
+    scoring thread, the only one that writes ``buf``.  ``close()`` stops the
+    scoring thread, then the training thread, dropping every job that has
+    not started."""
+
+    def __init__(self, built: BuiltExperiment, train: bool = False):
+        self._scorer = _Scorer(built)
+        self._buf = np.empty(built.template.dim)
+        self._pools = [ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-eval")]
+        if train:
+            pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-train")
+            self._pools.append(pool)
+            for client in built.clients:
+                client.trainer = partial(_Training, pool)
+
+    def score(self, fill: Callable[[np.ndarray], np.ndarray]) -> Future:
+        return self._pools[0].submit(self._score, fill)
+
+    def _score(self, fill: Callable[[np.ndarray], np.ndarray]) -> tuple[float, bytes]:
+        return self._scorer(fill(self._buf))
+
+    def close(self) -> None:
+        for pool in self._pools:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 class _Training:
@@ -184,29 +205,22 @@ class _Evaluator:
     cloud parameters, or every spyker server's parameters and age.  Servers
     replace their parameter arrays and never write them, so a snapshot with
     the same arrays and ages scores the same model, and the previous
-    result is reused.  Otherwise the model is built with the float64
-    operations of ``BuiltExperiment.eval_model``, in the same order, and
-    scored by a ``_Scorer``.  With a forked ``TrainingProcess`` the loop
-    writes the model into one of the process's eval slots and the child
-    scores it; otherwise one worker thread builds and scores it.  A call
-    returns a pending (accuracy, digest) with a ``result()`` method; calls
-    on an unchanged snapshot share one.
+    result is reused.  Otherwise ``score(fill)`` posts the model to the
+    run's worker, where ``fill(buf)`` builds it with the float64 operations
+    of ``BuiltExperiment.eval_model``, in the same order, and a ``_Scorer``
+    scores it.  A call returns a pending (accuracy, digest) with a
+    ``result()`` method; calls on an unchanged snapshot share one.
     """
 
-    def __init__(self, built: BuiltExperiment, proc: TrainingProcess | None):
+    def __init__(self, built: BuiltExperiment, score: Callable[[Callable], object]):
         self.built = built
-        self.proc = proc
+        self.score = score
         self.pooled = built.cfg.algorithm in SPYKER_MERGE
         self.uniform = built.cfg.eval_target == "mean"
         if self.pooled:
             self.stack = np.empty((len(built.servers), built.template.dim))
         self._last: tuple | None = None
         self._scored = None
-        if proc is None:
-            self.scorer = _Scorer(built)
-            if self.pooled:
-                self.mean = np.empty(built.template.dim)
-            self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-eval")
 
     def __call__(self):
         built = self.built
@@ -219,15 +233,8 @@ class _Evaluator:
         last = self._last
         if last is None or ages != last[1] or any(a is not b for a, b in zip(params, last[0])):
             self._last = (params, ages)
-            if self.proc is None:
-                self._scored = self._pool.submit(self._score, params, ages)
-            else:
-                self._scored = self.proc.score(partial(self._model_into, params, ages))
+            self._scored = self.score(partial(self._model_into, params, ages))
         return self._scored
-
-    def _score(self, params: tuple, ages: tuple) -> tuple[float, bytes]:
-        flat = self._model_into(params, ages, self.mean) if self.pooled else params[0]
-        return self.scorer(flat)
 
     def _model_into(self, params: tuple, ages: tuple, out: np.ndarray) -> np.ndarray:
         """Write the eval model's parameters into ``out``."""
@@ -241,10 +248,6 @@ class _Evaluator:
         else:
             weights = a / a.sum()
         return np.matmul(weights, stack, out=out)
-
-    def close(self) -> None:
-        if self.proc is None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 class TrainingProcess:

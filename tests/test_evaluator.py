@@ -44,7 +44,7 @@ class SequentialEvaluator:
     """The reference: ``data.evaluate`` of a copy of the eval model, and the
     SHA-256 of its ``<f8`` bytes, on the calling thread at every evaluation."""
 
-    def __init__(self, built, proc=None):
+    def __init__(self, built, score):
         self.built = built
 
     def __call__(self):
@@ -54,9 +54,6 @@ class SequentialEvaluator:
         done = Future()
         done.set_result((evaluate(m.with_params(params), self.built.test), digest))
         return done
-
-    def close(self):
-        pass
 
 
 def sequential(monkeypatch, cfg):
@@ -288,6 +285,31 @@ def test_target_stops_at_the_same_row_in_the_child_and_on_the_thread(
     assert_reaped(forks)
 
 
+@pytest.mark.parametrize(
+    "kind, threads",
+    [
+        ("thread", ["spykersim-eval_0", "spykersim-train_0"]),
+        pytest.param("process", [], marks=forking),
+        ("inline", ["spykersim-eval_0"]),
+    ],
+)
+def test_each_worker_starts_its_threads_and_stops_them(
+    monkeypatch, forks, started_threads, kind, threads
+):
+    if kind == "thread":
+        cfg = from_dict({"preset": "desk-mnist", "seed": 3, "n_samples": 3000, "horizon_ms": 500.0})
+    else:
+        cfg = tiny("spyker")
+    if kind == "inline":
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+    before = threading.active_count()
+    run_experiment(cfg)
+    assert sorted(started_threads) == threads
+    assert len(forks) == (kind == "process")
+    assert threading.active_count() == before
+    assert_reaped(forks)
+
+
 def test_main_thread_error_stops_the_worker(monkeypatch):
     def broken(self, sim, src, msg):
         raise RuntimeError("handler failed")
@@ -347,27 +369,36 @@ def test_manifest_without_blas_fields_still_loads():
 # -- across processes ---------------------------------------------------------------
 
 _CHILD = """
-import hashlib, sys
+import hashlib, json, os, sys
 from spykersim.config import from_dict
 from spykersim.experiment import run_experiment
-cfg = from_dict({"preset": "desk-mnist", "seed": 3, "n_samples": 3000, "horizon_ms": 1000.0,
-                 "eval_interval_ms": 250.0})
-res = run_experiment(cfg, sys.argv[1])
+forks = 0
+fork = os.fork
+def counted():
+    global forks
+    pid = fork()
+    forks += pid > 0
+    return pid
+os.fork = counted
+res = run_experiment(from_dict(json.loads(sys.argv[2])), sys.argv[1])
 h = hashlib.sha256()
 for s in res.built.servers:
     h.update(s.model.params.tobytes())
-print(h.hexdigest())
+print(h.hexdigest(), forks)
 """
 
 
-def _child_run(out: Path, threads: str, hashseed: str) -> dict:
+def _child_run(out: Path, threads: str, hashseed: str, cfg: dict) -> dict:
     env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env.update(OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(out)], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _CHILD, str(out), json.dumps(cfg)],
+        env=env, capture_output=True, text=True, check=True,
     )
+    params, forks = done.stdout.split()
     return {
-        "params": done.stdout.strip(),
+        "params": params,
+        "forks": int(forks),
         "trace": (out / "trace-hash.txt").read_text(),
         "timeseries": (out / "timeseries.csv").read_bytes(),
         "model": (out / "model-hash.txt").read_text(),
@@ -375,11 +406,27 @@ def _child_run(out: Path, threads: str, hashseed: str) -> dict:
 
 
 @bundled_openblas
-def test_parameters_repeat_across_processes_and_blas_threads(tmp_path):
+@pytest.mark.parametrize(
+    "cfg, forks",
+    [
+        pytest.param(
+            {"preset": "desk-mnist", "seed": 3, "n_samples": 3000, "horizon_ms": 1000.0,
+             "eval_interval_ms": 250.0},
+            0, id="desk-mnist",
+        ),
+        # Trains and scores in the run's forked process.
+        pytest.param(
+            {"preset": "desk-synth", "seed": 3, "horizon_ms": 1000.0, "eval_interval_ms": 250.0},
+            1, id="desk-synth", marks=forking,
+        ),
+    ],
+)
+def test_parameters_repeat_across_processes_and_blas_threads(tmp_path, cfg, forks):
     # At one BLAS thread per run, neither the thread setting nor the hash
-    # seed of the process reaches the model. (Unpinned, these two processes
-    # end with different parameters.)
-    a = _child_run(tmp_path / "a", "1", "0")
-    b = _child_run(tmp_path / "b", "2", "1")
+    # seed of the process reaches the model. (Unpinned, the two desk-mnist
+    # processes end with different parameters.)
+    a = _child_run(tmp_path / "a", "1", "0", cfg)
+    b = _child_run(tmp_path / "b", "2", "1", cfg)
     assert len(a["params"]) == 64 and len(a["model"]) == 65
+    assert a["forks"] == forks
     assert a == b

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import spykersim.models as models
+from spykersim.cli import main
 from spykersim.config import ALGORITHMS, DATA_ROOT_ENV, LOCATIONS, SINGLE_SERVER, from_dict
 from spykersim.errors import ConfigError
 from spykersim.experiment import (
@@ -291,6 +292,39 @@ def test_idx_subsampling_keeps_all_classes(tmp_path, monkeypatch):
     train, _ = load_task(tiny(dataset="mnist", input_dim=4, n_classes=3, n_samples=15))
     assert train.n_samples <= 16
     assert set(np.unique(train.labels)) == {0, 1, 2}
+
+
+def write_idx_dir(tmp_path, train, test):
+    """Write the four MNIST files; ``train`` and ``test`` are each
+    (n, rows, cols, n_classes)."""
+    for prefix, (n, rows, cols, n_classes), seed in (("train", train, 0), ("t10k", test, 1)):
+        _, _, img, lab = write_idx(tmp_path, n, rows, cols, n_classes, seed=seed)
+        (tmp_path / f"{prefix}-images-idx3-ubyte").write_bytes(img)
+        (tmp_path / f"{prefix}-labels-idx1-ubyte").write_bytes(lab)
+
+
+@pytest.mark.parametrize("classes", [2, 4])
+def test_idx_train_set_with_another_class_count_names_it(tmp_path, monkeypatch, classes):
+    # With 4 classes, the run would build a 4-class model against the config.
+    write_idx_dir(tmp_path, (30, 2, 2, classes), (12, 2, 2, classes))
+    monkeypatch.setenv(DATA_ROOT_ENV, str(tmp_path))
+    expected = rf"train set at .* has {classes} classes, config expects n_classes=3"
+    with pytest.raises(ConfigError, match=expected):
+        load_task(tiny(dataset="mnist", input_dim=4, n_classes=3, n_samples=30))
+
+
+def test_idx_test_set_of_another_size_is_a_config_error(tmp_path, monkeypatch):
+    write_idx_dir(tmp_path, (30, 2, 2, 3), (12, 3, 3, 3))
+    monkeypatch.setenv(DATA_ROOT_ENV, str(tmp_path))
+    with pytest.raises(ConfigError, match=r"t10k set at .* has dim 9, config expects input_dim=4"):
+        load_task(tiny(dataset="mnist", input_dim=4, n_classes=3, n_samples=30))
+    # The CLI reports it with the configuration exit code, before any run.
+    overrides = ["dataset=mnist", "input_dim=4", "n_classes=3", "n_samples=30", "n_clients=8",
+                 "horizon_ms=500", "hyper.batch_size=8"]
+    argv = ["run", "--out-dir", str(tmp_path / "out")]
+    for o in overrides:
+        argv += ["--override", o]
+    assert main(argv) == 1
 
 
 # -- curve helpers ------------------------------------------------------------

@@ -1,26 +1,31 @@
-"""Invariants of both spyker variants over random topologies."""
+"""Invariants of all five algorithms over random topologies."""
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spykersim.config import LOCATIONS, from_dict
+from spykersim.config import ALGORITHMS, LOCATIONS, SINGLE_SERVER, from_dict
 from spykersim.experiment import build_experiment
-from spykersim.messages import payload_bytes
+from spykersim.messages import ClientUpdate, payload_bytes
+from spykersim.protocols.fedavg import FedAvgServer
 from spykersim.simulation import SERVER, Simulator
 
 
 @st.composite
-def topologies(draw):
-    n = draw(st.integers(1, 6))
-    counts = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+def topologies(draw, algorithm):
+    single = algorithm in SINGLE_SERVER
+    n = 1 if single else draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(1, 8 if single else 4), min_size=n, max_size=n))
     return from_dict(
         {
             "preset": "desk-synth",
-            "algorithm": draw(st.sampled_from(["spyker", "sync-spyker"])),
+            "algorithm": algorithm,
             "sync_period": draw(st.sampled_from([2.0, 5.0, 20.0])),
+            "selection_fraction": draw(st.sampled_from([0.5, 1.0])),
+            "cloud_period": draw(st.integers(1, 4)),
             "n_servers": n,
             "n_clients": sum(counts),
             "client_counts": counts,
@@ -36,11 +41,37 @@ def topologies(draw):
     )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(topologies())
-def test_spyker_invariants_on_random_topologies(cfg):
+def collecting(server) -> int:
+    """The updates a FedAvg server or edge holds for a round it has not
+    averaged yet; a closed round's updates stay held until the next
+    dispatch, but are absorbed."""
+    held = len(getattr(server, "_pending", ()))
+    return held if held < len(getattr(server, "_selected", ())) else 0
+
+
+def check_counts(built):
+    """Updates absorbed match the per-client counts, each client has at
+    most one dispatch in service or in flight, and every edge is at most one
+    cloud period ahead of the cloud."""
+    for s in built.servers:
+        assert s.updates_absorbed + collecting(s) == sum(s.u.values())
+    u = built.client_update_counts()
+    for c in built.clients:
+        assert u[c.node_id] <= c._round <= u[c.node_id] + 1
+    if built.cloud is not None:
+        for edge in built.servers:
+            assert edge.round // edge.cloud_period - built.cloud.cloud_rounds in (0, 1)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_invariants_on_random_topologies(algorithm, data):
     """One token after every event (spyker), bytes recounted over every
-    send, finite server models, and no quiescent stop before the horizon."""
+    send, update counts after every event, FedAvg updates only from the
+    round's selected clients, finite server models, and no quiescent stop
+    before the horizon."""
+    cfg = data.draw(topologies(algorithm))
     recount = {"server-server": 0, "server-client": 0}
     send = Simulator.send
 
@@ -50,20 +81,30 @@ def test_spyker_invariants_on_random_topologies(cfg):
             recount["server-server" if both else "server-client"] += payload_bytes(msg)
         return send(sim, src, dst, msg)
 
+    handle = FedAvgServer.handle
+
+    def selected_only(server, sim, src, msg):
+        if isinstance(msg, ClientUpdate):
+            assert src in server._selected
+        return handle(server, sim, src, msg)
+
     token_counts = set()
 
-    def count_tokens(sim, record):
-        held = sum(s.token is not None for s in built.servers)
-        token_counts.add(held + sim.tokens_in_flight)
+    def after_event(sim, record):
+        if cfg.algorithm == "spyker":
+            held = sum(s.token is not None for s in built.servers)
+            token_counts.add(held + sim.tokens_in_flight)
+        check_counts(built)
 
-    with mock.patch.object(Simulator, "send", counted_send):
+    with mock.patch.object(Simulator, "send", counted_send), \
+            mock.patch.object(FedAvgServer, "handle", selected_only):
         built = build_experiment(cfg)
         sim = built.sim
-        if cfg.algorithm == "spyker":
-            sim.on_event = count_tokens
+        sim.on_event = after_event
         sim.run(horizon_ms=cfg.horizon_ms)
 
     assert token_counts == ({1} if cfg.algorithm == "spyker" else set())
     assert sim.bytes_by_class == recount
-    assert all(np.isfinite(s.model.params).all() for s in built.servers)
+    nodes = built.servers + ([built.cloud] if built.cloud is not None else [])
+    assert all(np.isfinite(s.model.params).all() for s in nodes)
     assert sim.stop_reason == "horizon"

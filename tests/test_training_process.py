@@ -75,7 +75,7 @@ def assert_reaped(pids):
 
 def inline_run(monkeypatch, cfg, out):
     with monkeypatch.context() as m:
-        m.setattr(workers, "_training_worker", lambda built: (None, None))
+        m.setattr(workers, "_start_worker", workers._Threads)
         return run_experiment(cfg, str(out))
 
 

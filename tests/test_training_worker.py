@@ -94,7 +94,8 @@ def test_worker_runs_equal_inline_runs(monkeypatch, tmp_path, algorithm):
     assert seen and all(seen)
     seen.clear()
     with monkeypatch.context() as m:
-        m.setattr(workers, "_training_worker", lambda built: (None, None))
+        # Training stays inline and a thread scores.
+        m.setattr(workers, "_start_worker", workers._Threads)
         inline = run_experiment(cfg, str(tmp_path / "inline"))
     assert seen and not any(seen)
     assert threaded.summary["updates"] > 0
@@ -239,7 +240,7 @@ def posting_run(monkeypatch, kind):
         cfg = from_dict({"preset": "desk-synth", "seed": 3, "horizon_ms": 1000.0})
     else:
         cfg = small_mnist()
-    start = (lambda built: (None, None)) if kind == "inline" else workers._training_worker
+    start = workers._Threads if kind == "inline" else workers._start_worker
     posts, clients = [], []
 
     def recording(sim, client, trainer):
@@ -251,15 +252,15 @@ def posting_run(monkeypatch, kind):
         return record
 
     def started(built):
-        stop = start(built)
+        worker = start(built)
         for client in built.clients:
             trainer = client.trainer
             assert getattr(trainer, "func", trainer).__qualname__ == TRAINERS[kind]
             client.trainer = recording(built.sim, client, trainer)
         clients.extend(built.clients)
-        return stop
+        return worker
 
-    monkeypatch.setattr(workers, "_training_worker", started)
+    monkeypatch.setattr(workers, "_start_worker", started)
     return cfg, posts, clients
 
 

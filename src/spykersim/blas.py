@@ -6,7 +6,8 @@ unless it is fixed.  A run therefore pins BLAS to one thread and restores
 the old count when it ends.  numpy wheels ship OpenBLAS as
 ``numpy.libs/libscipy_openblas64_-<hash>.so`` and export its thread
 control; a numpy built against another BLAS has no such library, and then
-a run goes ahead unpinned with one warning.
+a run goes ahead unpinned with one warning.  ``numpy_simd`` names numpy's
+own SIMD loops, which a run's manifest records beside the BLAS library.
 """
 
 from __future__ import annotations
@@ -62,6 +63,22 @@ def _bundled_openblas() -> _OpenBlas | None:
 def _numpy_blas() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"{blas.get('name')} {blas.get('version')}"
+
+
+def numpy_simd() -> dict[str, bool]:
+    """numpy's SIMD dispatch targets, each with whether this process uses it.
+
+    Read from ``__cpu_dispatch__`` (the targets numpy was built with above
+    its baseline) and ``__cpu_features__`` (what the CPU offers, less what
+    ``NPY_DISABLE_CPU_FEATURES`` turned off when numpy loaded) of
+    ``numpy._core._multiarray_umath``, ``numpy.core._multiarray_umath`` on
+    numpy 1.x.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    return {t: bool(umath.__cpu_features__.get(t)) for t in umath.__cpu_dispatch__}
 
 
 @contextmanager

@@ -1,15 +1,16 @@
 """Datasets: IDX loading, synthetic blobs, non-iid partitioning, evaluation.
 
-Features are float32 throughout, with one cached float64 copy per dataset
-(``Dataset.features64``) for training and evaluation; labels are int64.  All
-generation and partitioning is pure given a seed.
+Features are float32 and held once: training and scoring widen the rows
+they use into small float64 buffers (``models.local_training`` and
+``models.predict_into``), with the same float64 values as a float64 copy of
+the whole set.  Labels are int64.  All generation and partitioning is pure
+given a seed.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,13 +46,6 @@ class Dataset:
             raise ValueError(f"labels must lie in [0, {self.n_classes})")
         X.setflags(write=False)
         y.setflags(write=False)
-
-    @cached_property
-    def features64(self) -> np.ndarray:
-        """The features as float64, converted once and kept read-only."""
-        X = np.asarray(self.features, dtype=np.float64)
-        X.setflags(write=False)
-        return X
 
     @property
     def n_samples(self) -> int:
@@ -270,9 +264,12 @@ def partition_noniid(data: Dataset, spec: PartitionSpec) -> list[Dataset]:
 
 
 def evaluate(model, test: Dataset) -> float:
-    """Fraction of argmax-correct predictions; argmax ties go to the lowest class."""
+    """Fraction of argmax-correct predictions; argmax ties go to the lowest class.
+
+    The reference for a run's scoring: ``models.predict`` widens the whole
+    test set to float64 for this call."""
     from . import models
 
-    pred = models.predict(model, test.features64)
+    pred = models.predict(model, test.features)
     return float(np.mean(pred == test.labels))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .blas import one_blas_thread
+from .blas import numpy_simd, one_blas_thread
 from .config import DATA_ROOT_ENV, SPYKER_MERGE, ExperimentConfig, config_hash, to_dict
 from .data import (
     Dataset,
@@ -331,12 +331,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
             blas_library=blas.library,
             blas_threads=blas.threads,
             blas_pinned=blas.pinned,
+            numpy_simd=numpy_simd(),
         )
         with run_workers(built) as evaluator:
             rows, model_hash = _run_rows(built, evaluator)
 
     sim = built.sim
     accs = [r["accuracy"] for r in rows]
+    client_updates = built.client_update_counts()
     summary = {
         "algorithm": cfg.algorithm,
         "preset": cfg.preset,
@@ -345,6 +347,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         "sim_time_ms": sim.now,
         "events": sim.events_processed,
         "updates": built.total_updates(),
+        "updates_received": sum(client_updates.values()),
         "final_accuracy": accs[-1],
         "best_accuracy": max(accs),
         "reached_target": bool(
@@ -358,7 +361,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         "updates_to_95": updates_to_accuracy(rows, 0.95),
         "bytes_by_class": dict(sim.bytes_by_class),
         "total_bytes": sim.total_bytes,
-        "client_updates": {str(k): v for k, v in sorted(built.client_update_counts().items())},
+        "client_updates": {str(k): v for k, v in sorted(client_updates.items())},
         "age_clamps": {
             str(s.node_id): s.age_clamps for s in built.servers if cfg.algorithm in SPYKER_MERGE
         },

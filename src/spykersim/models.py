@@ -8,6 +8,10 @@ returns fresh arrays and never mutates its inputs.  ``local_training`` is a
 fused in-place kernel on a private copy; ``loss_and_grad``,
 ``local_sgd_step`` and ``sgd_step`` are the reference it is tested against.
 Likewise ``predict_into`` writes ``predict``'s classes into reused buffers.
+Features may be float32: the reference functions widen the whole batch to
+float64, while ``local_training`` and ``predict_into`` widen only the rows
+in use into small float64 buffers.  Widening is exact, so both see the same
+float64 values.
 """
 
 from __future__ import annotations
@@ -103,8 +107,12 @@ def _split_mlp(m: TinyModel):
     return w1, b1, w2, b2
 
 
-def _check_batch(m: TinyModel, X: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+def _check_batch(
+    m: TinyModel, X: np.ndarray, y: np.ndarray | None = None, dtype=np.float64
+) -> np.ndarray:
+    """``X`` as an array of ``dtype`` (None keeps its dtype), checked
+    against the model and ``y``."""
+    X = np.asarray(X, dtype=dtype)
     if X.ndim != 2 or X.shape[1] != m.input_dim:
         raise ValueError(f"batch feature dim {X.shape} does not match input_dim {m.input_dim}")
     if X.shape[0] == 0:
@@ -142,25 +150,38 @@ def predict(m: TinyModel, X: np.ndarray) -> np.ndarray:
 def predict_into(
     m: TinyModel,
     X: np.ndarray,
+    xbuf: np.ndarray,
     logits: np.ndarray,
     hidden: np.ndarray | None,
     out: np.ndarray,
 ) -> np.ndarray:
     """``predict`` into caller-owned buffers, for scoring one batch many times.
 
-    ``X`` is a float64 (n, input_dim) batch; ``logits`` is (n, n_classes),
+    ``X`` is an (n, input_dim) batch of any float dtype, typically float32;
+    ``xbuf`` a float64 (b, input_dim) buffer, into which the first layer's
+    product widens X b rows at a time; ``logits`` is (n, n_classes),
     ``hidden`` (n, hidden_dim) for the MLP and ``out`` an intp (n,) array.
-    The float64 operations and their order are those of ``predict``, so the
-    classes are identical; no array of batch size is allocated.
+    The float64 values and operations are those of ``predict``, and no array
+    of batch size is allocated.  A row's logits are its own dot products,
+    so they repeat ``predict``'s byte for byte wherever OpenBLAS runs a
+    block through the same kernel as the whole batch.  Its AVX-512 kernels
+    switch to a small-matrix kernel for products of at most 10^6
+    multiply-adds, which can move a logit by its last bit, and so a class
+    only at a near-tie.
     """
     if m.kind == LOGREG:
-        w, b = _split_logreg(m)
-        np.matmul(X, w, out=logits)
-        logits += b
+        w1, b1 = _split_logreg(m)
+        first = logits
     else:
         w1, b1, w2, b2 = _split_mlp(m)
-        np.matmul(X, w1, out=hidden)
-        hidden += b1
+        first = hidden
+    rows = xbuf.shape[0]
+    for start in range(0, X.shape[0], rows):
+        block = xbuf[: min(rows, X.shape[0] - start)]
+        np.copyto(block, X[start : start + rows])
+        np.matmul(block, w1, out=first[start : start + rows])
+    first += b1
+    if m.kind == MLP:
         np.tanh(hidden, out=hidden)
         np.matmul(hidden, w2, out=logits)
         logits += b2
@@ -241,8 +262,11 @@ def local_training(
     ``local_sgd_step`` over the batches, fused: each batch runs the same
     float64 expressions as ``loss_and_grad`` and ``sgd_step``, in the same
     order, but updates views of one private copy of the parameters in place
-    and skips the loss value.  ``m.params`` is never written.  Inputs are
-    checked once, and finiteness once at the end.
+    and skips the loss value.  ``m.params`` is never written.  ``X`` keeps
+    its dtype: each batch's rows are gathered from it and widened exactly
+    into one float64 buffer, so a float32 ``X`` trains to the same bytes as
+    its float64 copy, and only one batch is ever held in float64.  Inputs
+    are checked once, and finiteness once at the end.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -250,7 +274,7 @@ def local_training(
         raise ValueError("batch_size must be >= 1")
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    X = _check_batch(m, X, y)
+    X = _check_batch(m, X, y, dtype=None)
     y = np.asarray(y)
     n = X.shape[0]
     out = m.with_params(m.params.copy())
@@ -258,8 +282,8 @@ def local_training(
         w1, b1 = _split_logreg(out)
     else:
         w1, b1, w2, b2 = _split_mlp(out)
-    # Reused buffers for the batch rows and the first layer's weight
-    # gradient, the two large per-batch arrays.
+    # Reused buffers for the batch rows, widened to float64, and the first
+    # layer's weight gradient, the two large per-batch arrays.
     rows = np.arange(min(batch_size, n))
     xbuf = np.empty((rows.size, m.input_dim))
     gw1 = np.empty_like(w1)
@@ -268,8 +292,8 @@ def local_training(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             k = idx.size
-            # idx is always in range; mode="clip" lets take write into xbuf.
-            Xb = np.take(X, idx, axis=0, out=xbuf[:k], mode="clip")
+            Xb = xbuf[:k]
+            np.copyto(Xb, np.take(X, idx, axis=0))
             h = Xb @ w1
             h += b1
             if m.kind == LOGREG:

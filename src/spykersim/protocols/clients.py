@@ -57,7 +57,8 @@ class TrainingClient(Node):
         self.training_delay_ms = training_delay_ms
         self.seed = seed
         self.data_size = shard.n_samples
-        self._X = shard.features64
+        # The shard's read-only float32 rows, widened batch by batch in training.
+        self._X = shard.features
         self._y = shard.labels
         self._round = 0
         self.trainer = train_inline

@@ -114,6 +114,10 @@ class RunManifest:
     blas_library: str = ""
     blas_threads: int | None = None
     blas_pinned: bool = False
+    # numpy's SIMD dispatch targets, each with whether it is active in the
+    # run's process (``blas.numpy_simd``); like the BLAS kernels, they can
+    # change the model's bytes but never the schedule.
+    numpy_simd: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         d = asdict(self)

@@ -83,6 +83,10 @@ SPIN_S = 0.002
 EVAL_SLOTS = 8
 # A lock held longer than this is checked for a dead holder.
 LOCK_CHECK_S = 0.5
+# The scorer's float64 block of test rows: 334 rows of 784 features, 1024
+# of 256.  Smaller blocks take more BLAS calls per score, and more of them
+# fall under OpenBLAS's small-matrix size (see ``predict_into``).
+SCORE_BLOCK_BYTES = 2 << 20
 
 perf = time.perf_counter
 
@@ -178,14 +182,20 @@ def _usable_cpus() -> int:
 
 class _Scorer:
     """A model's test accuracy and the SHA-256 of its ``<f8`` bytes, from
-    the float64 operations of ``data.evaluate`` into buffers allocated once."""
+    the float64 operations of ``data.evaluate`` into buffers allocated once.
+
+    The test set stays float32; ``predict_into`` widens it into a float64
+    buffer of at most ``SCORE_BLOCK_BYTES``, one block of rows at a time.
+    """
 
     def __init__(self, built: BuiltExperiment):
         template, test = built.template, built.test
         self.template = template
-        self.X = test.features64
+        self.X = test.features
         self.labels = test.labels
         n = test.n_samples
+        rows = max(1, SCORE_BLOCK_BYTES // (8 * template.input_dim))
+        self.xbuf = np.empty((min(n, rows), template.input_dim))
         self.logits = np.empty((n, template.n_classes))
         self.hidden = np.empty((n, template.hidden_dim)) if template.kind == MLP else None
         self.pred = np.empty(n, dtype=np.intp)
@@ -193,7 +203,7 @@ class _Scorer:
 
     def __call__(self, flat: np.ndarray) -> tuple[float, bytes]:
         model = self.template.with_params(flat)
-        pred = predict_into(model, self.X, self.logits, self.hidden, self.pred)
+        pred = predict_into(model, self.X, self.xbuf, self.logits, self.hidden, self.pred)
         acc = float(np.mean(np.equal(pred, self.labels, out=self.hits)))
         return acc, hashlib.sha256(np.ascontiguousarray(flat, dtype="<f8")).digest()
 

@@ -12,6 +12,7 @@ import threading
 from concurrent.futures import Future
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ import spykersim.experiment as experiment
 import spykersim.workers as workers
 import spykersim.models as models
 from spykersim.config import ALGORITHMS, SINGLE_SERVER, apply_overrides, from_dict
-from spykersim.data import evaluate
+from spykersim.data import evaluate, synthetic_dataset
 from spykersim.experiment import build_experiment, run_experiment
 from spykersim.simulation import RunManifest
 from test_config_cli import TINY
@@ -85,6 +86,23 @@ def test_mnist_spyker_rows_equal_sequential_evaluation(monkeypatch):
     assert len(got.rows) == 21
     assert len({r["accuracy"] for r in got.rows}) > 5
     assert_same_run(got, sequential(monkeypatch, cfg))
+
+
+@pytest.mark.parametrize("kind, hidden", [(models.LOGREG, 0), (models.MLP, 16)])
+def test_scoring_float32_blocks_equals_evaluate(kind, hidden):
+    # MNIST-sized rows: more than two of the scorer's blocks, the last ragged.
+    rows = workers.SCORE_BLOCK_BYTES // (8 * 784)
+    test = synthetic_dataset(5, 2 * rows + rows // 3, 784, 10, 3.0)
+    template = models.init_model(kind, 784, 10, hidden, np.random.default_rng(6))
+    scorer = workers._Scorer(SimpleNamespace(template=template, test=test))
+    assert test.features.dtype == np.float32 and scorer.xbuf.shape == (rows, 784)
+    for seed in range(3):
+        flat = np.random.default_rng(seed).normal(size=template.dim)
+        model = template.with_params(flat)
+        acc, digest = scorer(flat)
+        assert acc == evaluate(model, test)
+        assert digest == hashlib.sha256(flat.astype("<f8").tobytes()).digest()
+        np.testing.assert_array_equal(scorer.pred, models.predict(model, test.features))
 
 
 def test_fedavg_skips_unchanged_models(monkeypatch):
@@ -364,6 +382,14 @@ def test_manifest_without_blas_fields_still_loads():
     old = '{"code_version": "0.1.0", "config_hash": "x", "master_seed": 1, "node_seeds": {}, "ring_order": [0]}'
     m = RunManifest.from_json(old)
     assert (m.blas_library, m.blas_threads, m.blas_pinned) == ("", None, False)
+    assert m.numpy_simd == {}
+
+
+def test_manifest_records_numpy_simd(tmp_path):
+    res = run_experiment(tiny("fedasync"), str(tmp_path))
+    assert res.manifest.numpy_simd == blas.numpy_simd()
+    assert all(type(v) is bool for v in res.manifest.numpy_simd.values())
+    assert RunManifest.from_json((tmp_path / "manifest.json").read_text()) == res.manifest
 
 
 # -- across processes ---------------------------------------------------------------
@@ -388,9 +414,10 @@ print(h.hexdigest(), forks)
 """
 
 
-def _child_run(out: Path, threads: str, hashseed: str, cfg: dict) -> dict:
+def _child_run(out: Path, threads: str, hashseed: str, cfg: dict, **env_vars: str) -> dict:
     env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env.update(OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))
+    env.update(env_vars)
     done = subprocess.run(
         [sys.executable, "-c", _CHILD, str(out), json.dumps(cfg)],
         env=env, capture_output=True, text=True, check=True,
@@ -402,6 +429,7 @@ def _child_run(out: Path, threads: str, hashseed: str, cfg: dict) -> dict:
         "trace": (out / "trace-hash.txt").read_text(),
         "timeseries": (out / "timeseries.csv").read_bytes(),
         "model": (out / "model-hash.txt").read_text(),
+        "manifest": json.loads((out / "manifest.json").read_text()),
     }
 
 
@@ -430,3 +458,23 @@ def test_parameters_repeat_across_processes_and_blas_threads(tmp_path, cfg, fork
     assert len(a["params"]) == 64 and len(a["model"]) == 65
     assert a["forks"] == forks
     assert a == b
+
+
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+@pytest.mark.skipif(
+    not all(blas.numpy_simd().get(t) for t in AVX512_TARGETS),
+    reason="numpy's AVX-512 loops are not active on this host",
+)
+def test_numpy_simd_off_changes_only_its_manifest_field(tmp_path):
+    # numpy reads the variable when it loads, so each run is its own process.
+    cfg = {"preset": "desk-synth", "seed": 3, "horizon_ms": 1000.0, "eval_interval_ms": 250.0}
+    on = _child_run(tmp_path / "on", "1", "0", cfg)
+    off = _child_run(
+        tmp_path / "off", "1", "0", cfg, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS)
+    )
+    simd = on["manifest"].pop("numpy_simd")
+    assert off["manifest"].pop("numpy_simd") == {**simd, **dict.fromkeys(AVX512_TARGETS, False)}
+    assert on["manifest"] == off["manifest"]
+    assert on["trace"] == off["trace"]

@@ -10,6 +10,7 @@ import pytest
 import spykersim.models as models
 from spykersim.cli import main
 from spykersim.config import ALGORITHMS, DATA_ROOT_ENV, LOCATIONS, SINGLE_SERVER, from_dict
+from spykersim.data import Dataset
 from spykersim.errors import ConfigError
 from spykersim.experiment import (
     build_experiment,
@@ -151,6 +152,18 @@ def test_summary_counts_age_clamps_per_spyker_server(algorithm):
         assert all(type(v) is int and v >= 0 for v in clamps.values())
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_summary_counts_updates_merged_and_received(algorithm):
+    # The 3300 ms horizon cuts a FedAvg round and a HierFAVG edge round, whose
+    # received updates are not merged yet.
+    summary = run_experiment(tiny(algorithm, horizon_ms=3300.0)).summary
+    assert summary["updates_received"] == sum(summary["client_updates"].values())
+    if algorithm in ("fedavg", "hierfavg"):
+        assert summary["updates"] < summary["updates_received"]
+    else:
+        assert summary["updates"] == summary["updates_received"]
+
+
 def test_target_stop_before_first_event():
     # Any positive target below the untrained accuracy stops at the t=0 eval.
     res = run_experiment(tiny(target_accuracy=0.01))
@@ -250,6 +263,19 @@ def test_image_task_falls_back_to_surrogate(monkeypatch):
     assert train.dim == 12 and test.dim == 12
     assert train.n_classes == 3
     assert train.n_samples + test.n_samples == 300
+
+
+def test_data_sets_are_held_once_in_float32(monkeypatch):
+    monkeypatch.delenv(DATA_ROOT_ENV, raising=False)
+    cfg = from_dict({"preset": "desk-mnist"})
+    built = build_experiment(cfg)
+    train, _ = load_task(cfg)
+    for client in built.clients:
+        assert client._X.dtype == np.float32 and not client._X.flags.writeable
+    assert sum(c._X.nbytes for c in built.clients) == train.features.nbytes
+    assert train.features.nbytes == train.n_samples * 784 * 4
+    assert built.test.features.dtype == np.float32
+    assert not hasattr(Dataset, "features64")
 
 
 def write_idx(tmp_path, n, rows, cols, n_classes, seed=0):

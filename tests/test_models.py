@@ -94,9 +94,11 @@ class TestForward:
         logits = np.full((37, m.n_classes), np.nan)
         hidden = np.full((37, m.hidden_dim), np.nan) if m.kind == models.MLP else None
         out = np.empty(37, dtype=np.intp)
-        for _ in range(2):  # buffers reused across calls
+        # Buffers reused across calls; one block of rows, then four.
+        for block in (37, 37, 10, 10):
+            xbuf = np.empty((block, m.input_dim))
             m = m.with_params(rng.normal(size=m.dim))
-            got = models.predict_into(m, X, logits, hidden, out)
+            got = models.predict_into(m, X, xbuf, logits, hidden, out)
             assert got is out
             np.testing.assert_array_equal(got, models.predict(m, X))
             z, _ = models._logits(m, X)
@@ -208,6 +210,24 @@ class TestLocalTraining:
         X, y = make_batch(rng, m, n=33)
         out = local_training(m, X, y, 0.05, epochs, batch, np.random.default_rng(17))
         assert not np.array_equal(out.params, m.params)
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 32, 64])
+    @pytest.mark.parametrize("make", [make_logreg, make_mlp])
+    def test_float32_features_train_to_the_bytes_of_their_float64_copy(self, make, batch, epochs):
+        # 100 rows leave a ragged last batch at 32 and at 64.
+        rng = np.random.default_rng(31)
+        m = make(rng, input_dim=20)
+        X = rng.normal(size=(100, m.input_dim)).astype(np.float32)
+        X.setflags(write=False)
+        y = rng.integers(0, m.n_classes, size=100)
+        before = X.tobytes()
+        got = local_training(m, X, y, 0.1, epochs, batch, np.random.default_rng(33))
+        want = local_training(
+            m, X.astype(np.float64), y, 0.1, epochs, batch, np.random.default_rng(33)
+        )
+        assert got.params.tobytes() == want.params.tobytes()
+        assert X.dtype == np.float32 and X.tobytes() == before
 
 
 def fold_of_reference_steps(m, X, y, lr, epochs, batch_size, rng):

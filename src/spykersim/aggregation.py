@@ -15,15 +15,17 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .errors import NumericsError, ProtocolViolation
+from .models import first_non_finite
 
 LITERAL = "literal"
 DAMPENED = "dampened"
 
 
 def require_finite(merged: np.ndarray, cause: Callable[[], str]) -> np.ndarray:
-    """``merged`` itself when every entry is finite; otherwise a NumericsError
-    with the message ``cause()``, which servers use to name the merge."""
-    if not np.isfinite(merged).all():
+    """``merged`` itself when every entry is finite (``first_non_finite``);
+    otherwise a NumericsError with the message ``cause()``, which servers use
+    to name the merge."""
+    if first_non_finite(merged) is not None:
         raise NumericsError(cause())
     return merged
 

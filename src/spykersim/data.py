@@ -10,7 +10,7 @@ given a seed.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -27,23 +27,29 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
-    """An in-memory labelled dataset; immutable after construction."""
+    """An in-memory labelled dataset; immutable after construction.
+
+    Construction checks that every feature is finite and every label in
+    range, unless ``rows_checked`` says the rows come from a checked set.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
     name: str = "unnamed"
+    rows_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, rows_checked: bool):
         X, y = self.features, self.labels
         if X.ndim != 2 or len(y) != X.shape[0]:
             raise ValueError("features must be (n, dim) with one label per row")
         if X.shape[0] == 0:
             raise ValueError("dataset must be non-empty")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("features must be finite")
-        if y.min() < 0 or y.max() >= self.n_classes:
-            raise ValueError(f"labels must lie in [0, {self.n_classes})")
+        if not rows_checked:
+            if not np.all(np.isfinite(X)):
+                raise ValueError("features must be finite")
+            if y.min() < 0 or y.max() >= self.n_classes:
+                raise ValueError(f"labels must lie in [0, {self.n_classes})")
         X.setflags(write=False)
         y.setflags(write=False)
 
@@ -56,11 +62,13 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, idx: np.ndarray, name: str | None = None) -> "Dataset":
+        """The rows ``idx``, copied; they were checked with this set."""
         return Dataset(
             np.ascontiguousarray(self.features[idx]),
             np.ascontiguousarray(self.labels[idx]),
             self.n_classes,
             name or self.name,
+            rows_checked=True,
         )
 
 

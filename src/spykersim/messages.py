@@ -3,6 +3,12 @@
 Model-bearing messages cost 4 bytes per parameter (32-bit on the wire) plus
 a fixed 64-byte header; age and token messages carry the header plus 8 bytes
 per age entry.  Sizes feed the link transfer-time and bandwidth metrics.
+
+The simulator describes (``describe``) and sizes (``payload_bytes``) a
+message once when it is sent, and reuses both for each further peer the
+same object is sent to next and for the trace lines of its delivery and
+service end; so a message must not change once sent, which the frozen
+classes ensure.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ float64 values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,30 @@ class TinyModel:
         return self.params.shape[0]
 
     def with_params(self, params: np.ndarray) -> "TinyModel":
-        return TinyModel(self.kind, params, self.input_dim, self.n_classes, self.hidden_dim)
+        """This model with ``params``, which must have the shape of its own."""
+        if params.shape != self.params.shape:
+            raise ValueError(
+                f"params has dim {params.shape}, expected {self.params.shape} for {self.kind}"
+            )
+        # The fields but params are those of a checked model, so the check
+        # of __post_init__ is skipped.
+        new = object.__new__(type(self))
+        vars(new).update(vars(self), params=params)
+        return new
+
+
+def first_non_finite(v: np.ndarray) -> int | None:
+    """The index of the first non-finite entry of the 1-D float64 ``v``, or
+    None when every entry is finite.
+
+    A finite sum of squares implies that every entry is finite, so one BLAS
+    reduction clears the common case; only a non-finite sum, which an
+    all-finite vector gives by overflowing, is checked entry by entry.
+    """
+    if math.isfinite(np.dot(v, v)):
+        return None
+    bad = np.flatnonzero(~np.isfinite(v))
+    return int(bad[0]) if bad.size else None
 
 
 def init_model(
@@ -159,7 +183,8 @@ def predict_into(
 
     ``X`` is an (n, input_dim) batch of any float dtype, typically float32;
     ``xbuf`` a float64 (b, input_dim) buffer, into which the first layer's
-    product widens X b rows at a time; ``logits`` is (n, n_classes),
+    product widens X b rows at a time, or None for a float64 ``X``, which
+    is multiplied whole; ``logits`` is (n, n_classes),
     ``hidden`` (n, hidden_dim) for the MLP and ``out`` an intp (n,) array.
     The float64 values and operations are those of ``predict``, and no array
     of batch size is allocated.  A row's logits are its own dot products,
@@ -175,10 +200,14 @@ def predict_into(
     else:
         w1, b1, w2, b2 = _split_mlp(m)
         first = hidden
-    rows = xbuf.shape[0]
-    for start in range(0, X.shape[0], rows):
-        block = xbuf[: min(rows, X.shape[0] - start)]
-        np.copyto(block, X[start : start + rows])
+    n = X.shape[0]
+    rows = n if xbuf is None else xbuf.shape[0]
+    for start in range(0, n, rows):
+        block = X[start : start + rows]
+        if xbuf is not None:
+            wide = xbuf[: len(block)]
+            np.copyto(wide, block)
+            block = wide
         np.matmul(block, w1, out=first[start : start + rows])
     first += b1
     if m.kind == MLP:
@@ -240,9 +269,9 @@ def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
 def local_sgd_step(m: TinyModel, X: np.ndarray, y: np.ndarray, lr: float) -> TinyModel:
     """One SGD step on a batch; the input model is left untouched."""
     _, grad = loss_and_grad(m, X, y)
-    bad = np.flatnonzero(~np.isfinite(grad))
-    if bad.size:
-        raise NumericsError(f"non-finite gradient at component {bad[0]}", index=int(bad[0]))
+    bad = first_non_finite(grad)
+    if bad is not None:
+        raise NumericsError(f"non-finite gradient at component {bad}", index=bad)
     return m.with_params(sgd_step(m.params, grad, lr))
 
 
@@ -320,9 +349,8 @@ def local_training(
                 _step(b2, gb2, lr)
             _step(w1, np.matmul(Xb.T, dpre, out=gw1), lr)
             _step(b1, dpre.sum(axis=0), lr)
-    finite = np.isfinite(out.params)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
+    bad = first_non_finite(out.params)
+    if bad is not None:
         raise NumericsError(f"local training left non-finite parameter {bad}", index=bad)
     return out
 

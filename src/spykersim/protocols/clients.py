@@ -33,6 +33,19 @@ def train_inline(train, params: np.ndarray, lr: float, dispatch: int) -> np.ndar
     return train(params, lr, dispatch)
 
 
+def uint32_words(n: int) -> list[int]:
+    """The 32-bit words, least significant first, into which numpy's
+    ``SeedSequence`` splits the entropy integer ``n``."""
+    if n < 0:
+        raise ValueError(f"a seed must be non-negative, got {n}")
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
 class TrainingClient(Node):
     kind = CLIENT
 
@@ -56,6 +69,7 @@ class TrainingClient(Node):
         self.batch_size = batch_size
         self.training_delay_ms = training_delay_ms
         self.seed = seed
+        self._seed_words = uint32_words(seed)
         self.data_size = shard.n_samples
         # The shard's read-only float32 rows, widened batch by batch in training.
         self._X = shard.features
@@ -70,7 +84,7 @@ class TrainingClient(Node):
             raise ProtocolViolation(
                 f"client {self.node_id} contacted by non-home server {src}"
             )
-        if not isinstance(msg, ModelDispatch):
+        if type(msg) is not ModelDispatch:
             raise ProtocolViolation(f"client cannot handle {type(msg).__name__}")
         dispatch = self._round
         self._round += 1
@@ -94,8 +108,12 @@ class TrainingClient(Node):
 
     def _train(self, params: np.ndarray, lr: float, dispatch: int) -> np.ndarray:
         # One generator per dispatch keeps shuffles replayable by an
-        # out-of-simulator reference implementation.
-        rng = np.random.default_rng([self.seed, dispatch])
+        # out-of-simulator reference implementation: it draws the stream of
+        # np.random.default_rng([seed, dispatch]), which seeds from the
+        # 32-bit words of both numbers, but is seeded from an array of them,
+        # which numpy reads faster than a list of Python ints.
+        entropy = np.array(self._seed_words + uint32_words(dispatch), dtype=np.uint32)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
         try:
             trained = models.local_training(
                 self.template.with_params(params),

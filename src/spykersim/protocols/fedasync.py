@@ -56,7 +56,7 @@ class FedAsyncServer(Node):
         return self.agg_ms
 
     def handle(self, sim: Simulator, src: int, msg) -> None:
-        if not isinstance(msg, ClientUpdate):
+        if type(msg) is not ClientUpdate:
             raise ProtocolViolation(f"server cannot handle {type(msg).__name__}")
         if src not in self.u:
             raise ProtocolViolation(f"update from unknown client {src}")

@@ -69,12 +69,12 @@ class FedAvgServer(Node):
     def service_ms(self, sim: Simulator, msg, src: int) -> float:
         # Collection is free; the round's single aggregation happens while
         # servicing the final missing update.
-        if isinstance(msg, ClientUpdate) and len(self._pending) + 1 == len(self._selected):
+        if type(msg) is ClientUpdate and len(self._pending) + 1 == len(self._selected):
             return self.agg_ms
         return 0.0
 
     def handle(self, sim: Simulator, src: int, msg) -> None:
-        if not isinstance(msg, ClientUpdate):
+        if type(msg) is not ClientUpdate:
             self._on_other(sim, src, msg)
             return
         if src not in self.u:

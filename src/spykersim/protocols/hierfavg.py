@@ -45,7 +45,7 @@ class HierEdgeServer(FedAvgServer):
             self._dispatch_round(sim)
 
     def _on_other(self, sim: Simulator, src: int, msg) -> None:
-        if not isinstance(msg, CloudModel):
+        if type(msg) is not CloudModel:
             raise ProtocolViolation(f"edge server cannot handle {type(msg).__name__}")
         self.model = self.model.with_params(msg.params)
         self._dispatch_round(sim)
@@ -69,7 +69,7 @@ class HierCloud(Node):
         return 0.0
 
     def handle(self, sim: Simulator, src: int, msg) -> None:
-        if not isinstance(msg, EdgeReport):
+        if type(msg) is not EdgeReport:
             raise ProtocolViolation(f"cloud cannot handle {type(msg).__name__}")
         if src not in self.edge_ids:
             raise ProtocolViolation(f"report from unknown edge {src}")

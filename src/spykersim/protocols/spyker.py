@@ -132,20 +132,23 @@ class SpykerServer(SpykerBase):
     # -- engine hooks -------------------------------------------------------
 
     def instant(self, msg) -> bool:
-        return isinstance(msg, (AgeBroadcast, TokenPass))
+        t = type(msg)
+        return t is AgeBroadcast or t is TokenPass
 
     def service_ms(self, sim: Simulator, msg, src: int) -> float:
         return self.agg_ms
 
     def handle(self, sim: Simulator, src: int, msg) -> None:
-        if isinstance(msg, AgeBroadcast):
+        # Message classes are final, so the exact type decides.
+        t = type(msg)
+        if t is AgeBroadcast:
             self._on_age(sim, src, msg)
-        elif isinstance(msg, ClientUpdate):
+        elif t is ClientUpdate:
             self._absorb(sim, src, msg)
             self._check_synchronization(sim)
-        elif isinstance(msg, ModelBroadcast):
+        elif t is ModelBroadcast:
             self._on_model_broadcast(sim, src, msg)
-        elif isinstance(msg, TokenPass):
+        elif t is TokenPass:
             self._on_token(sim, msg)
         else:
             raise ProtocolViolation(f"server cannot handle {type(msg).__name__}")
@@ -158,6 +161,10 @@ class SpykerServer(SpykerBase):
         return ages
 
     def _check_synchronization(self, sim: Simulator) -> None:
+        last = self._last_age_broadcast
+        if self.token is None and last is not None and self.age - last < 1.0:
+            # A non-holder that has gossiped this age has nothing to do.
+            return
         ages = self.effective_ages()
         triggered = (max(ages) - min(ages) >= self.hp.h_inter) or (
             self.age - self.age_prev >= self.hp.h_intra
@@ -187,7 +194,8 @@ class SpykerServer(SpykerBase):
 
     def _on_age(self, sim: Simulator, src: int, msg: AgeBroadcast) -> None:
         j = self.index_of[src]
-        self.known_ages[j] = max(self.known_ages[j], msg.age)
+        if msg.age > self.known_ages[j]:
+            self.known_ages[j] = msg.age
         self._check_synchronization(sim)
 
     def _on_token(self, sim: Simulator, msg: TokenPass) -> None:

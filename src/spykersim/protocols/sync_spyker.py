@@ -45,9 +45,10 @@ class SyncSpykerServer(SpykerBase):
     # -- engine hooks -------------------------------------------------------
 
     def service_ms(self, sim: Simulator, msg, src: int) -> float:
-        if isinstance(msg, (ClientUpdate, ReplayedUpdate)):
+        t = type(msg)
+        if t is ClientUpdate or t is ReplayedUpdate:
             return 0.0 if self.syncing else self.agg_ms
-        if isinstance(msg, ModelBroadcast):
+        if t is ModelBroadcast:
             have = len(self._peer_models.get(msg.bid, ()))
             if have + 1 == self.n_servers - 1 or self.n_servers == 1:
                 # This arrival completes the set; folding n models costs
@@ -57,8 +58,9 @@ class SyncSpykerServer(SpykerBase):
         return 0.0
 
     def handle(self, sim: Simulator, src: int, msg) -> None:
-        if isinstance(msg, (ClientUpdate, ReplayedUpdate)):
-            replayed = isinstance(msg, ReplayedUpdate)
+        t = type(msg)
+        if t is ClientUpdate or t is ReplayedUpdate:
+            replayed = t is ReplayedUpdate
             if replayed:
                 src, msg = msg.orig_src, msg.inner
             if self.syncing:
@@ -71,7 +73,7 @@ class SyncSpykerServer(SpykerBase):
             self._absorb(sim, src, msg)
             if self.age - self.age_prev >= self.sync_period:
                 self._start_sync(sim)
-        elif isinstance(msg, ModelBroadcast):
+        elif t is ModelBroadcast:
             self._on_peer_model(sim, src, msg)
         else:
             raise ProtocolViolation(f"server cannot handle {type(msg).__name__}")

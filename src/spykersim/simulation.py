@@ -33,6 +33,9 @@ DELIVER = "deliver"
 SERVICE = "service-done"
 EVAL = "eval"
 
+# Trace lines joined into one SHA-256 update.
+TRACE_CHUNK = 512
+
 LOCATIONS = ("Hongkong", "Paris", "Sydney", "California")
 
 # Inter-region round-trip delays in milliseconds, row = source, column =
@@ -189,8 +192,15 @@ class Simulator:
         self._queues: dict[int, deque] = {}
         self._busy: dict[int, bool] = {}
         self._routes: dict[tuple[int, int], tuple[float, str]] = {}
-        self._pending_real = 0
+        # The last message sent, its trace description and, once it leaves
+        # its node, its wire size and transfer time: a message sent to
+        # several peers in a row is described and sized once.
+        self._sent = None
+        self._sent_info = ""
+        self._sent_wire: tuple[int, float] | None = None
         self._hasher = hashlib.sha256()
+        # Trace lines not hashed yet; hashed a chunk at a time.
+        self._trace_lines: list[str] = []
         self._ran = False
 
     # -- topology ---------------------------------------------------------
@@ -209,8 +219,6 @@ class Simulator:
     def _push(self, time: float, kind: str, data, sent_at: float = -1.0, lat: float = 0.0):
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, data, sent_at, lat))
-        if kind != EVAL:
-            self._pending_real += 1
 
     def _route(self, src: int, dst: int) -> tuple[float, str]:
         """(latency, byte class) of the directed link src -> dst."""
@@ -232,18 +240,26 @@ class Simulator:
             route = self._routes[key] = self._route(src, dst)
         if type(msg) is TokenPass:
             self.tokens_in_flight += 1
+        if msg is not self._sent:
+            self._sent, self._sent_info, self._sent_wire = msg, describe(msg), None
         now = self.now
         if src == dst:
-            self._push(now, DELIVER, (src, dst, msg), sent_at=now)
+            self._push(now, DELIVER, (src, dst, msg, self._sent_info), sent_at=now)
             return
+        wire = self._sent_wire
+        if wire is None:
+            nbytes = payload_bytes(msg)
+            wire = self._sent_wire = (nbytes, self.link.transfer_ms(nbytes))
+        nbytes, transfer = wire
         lat, byte_class = route
-        nbytes = payload_bytes(msg)
-        link = self.link
-        raw = now + lat + link.transfer_ms(nbytes)
-        at = max(raw, link.last_delivery.get(key, 0.0))
-        link.last_delivery[key] = at
+        at = now + lat + transfer
+        last_delivery = self.link.last_delivery
+        last = last_delivery.get(key, 0.0)
+        if last > at:
+            at = last
+        last_delivery[key] = at
         self.bytes_by_class[byte_class] += nbytes
-        self._push(at, DELIVER, (src, dst, msg), sent_at=now, lat=lat)
+        self._push(at, DELIVER, (src, dst, msg, self._sent_info), sent_at=now, lat=lat)
 
     @property
     def total_bytes(self) -> int:
@@ -254,16 +270,24 @@ class Simulator:
         return len(self._queues[node_id])
 
     def trace_hash(self) -> str:
+        """SHA-256 of every processed event's ``EventRecord.line() + "\\n"``."""
+        self._flush_trace()
         return self._hasher.hexdigest()
+
+    def _flush_trace(self) -> None:
+        lines = self._trace_lines
+        if lines:
+            self._hasher.update("".join(lines).encode())
+            lines.clear()
 
     # -- event loop -------------------------------------------------------
 
     def _start_service(self, dst: int) -> None:
         node = self.nodes[dst]
-        src, msg = self._queues[dst].popleft()
+        src, msg, info = self._queues[dst].popleft()
         self._busy[dst] = True
         svc = node.service_ms(self, msg, src)
-        self._push(self.now + svc, SERVICE, (src, dst, msg))
+        self._push(self.now + svc, SERVICE, (src, dst, msg, info))
 
     def run(
         self,
@@ -277,14 +301,16 @@ class Simulator:
         if eval_interval_ms is not None and eval_interval_ms <= 0:
             raise ConfigError("eval interval must be positive")
         self._ran = True
-        if eval_interval_ms and self._pending_real > 0:
+        # Only run() pushes evaluations, so the heap holds real events only
+        # here and, once the evaluation is popped, at every evaluation.
+        if eval_interval_ms and self._heap:
             self._push(eval_interval_ms, EVAL, None)
 
         # The heap, queue and busy containers are never rebound, so locals
         # stay valid while handlers push through send() and _start_service().
         heap, pop = self._heap, heapq.heappop
         nodes, queues, busy = self.nodes, self._queues, self._busy
-        hash_update = self._hasher.update
+        lines = self._trace_lines
         self.horizon = horizon = math.inf if horizon_ms is None else horizon_ms
         while heap:
             if heap[0][0] > horizon:
@@ -295,22 +321,18 @@ class Simulator:
             self.now = time
             stopped = False
             if kind == DELIVER:
-                self._pending_real -= 1
-                src, dst, msg = data
-                info = describe(msg)
+                src, dst, msg, info = data
                 if type(msg) is TokenPass:
                     self.tokens_in_flight -= 1
                 node = nodes[dst]
                 if node.instant(msg):
                     node.handle(self, src, msg)
                 else:
-                    queues[dst].append((src, msg))
+                    queues[dst].append((src, msg, info))
                     if not busy[dst]:
                         self._start_service(dst)
             elif kind == SERVICE:
-                self._pending_real -= 1
-                src, dst, msg = data
-                info = describe(msg)
+                src, dst, msg, info = data
                 nodes[dst].handle(self, src, msg)
                 if queues[dst]:
                     self._start_service(dst)
@@ -322,13 +344,16 @@ class Simulator:
                 if eval_hook is not None and eval_hook(self):
                     self.stop_reason = "target"
                     stopped = True
-                elif self._pending_real > 0:
+                elif heap:
                     self._push(time + eval_interval_ms, EVAL, None)
 
             self.events_processed += 1
-            # Streamed line by line, this is the SHA-256 of every
-            # EventRecord.line() + "\n"; records are built only for a hook.
-            hash_update(f"{time:.9f}|{seq}|{kind}|{src}|{dst}|{info}\n".encode())
+            # The lines of EventRecord.line(), hashed a chunk at a time, so
+            # the hash is that of the whole stream; records are built only
+            # for a hook.
+            lines.append(f"{time:.9f}|{seq}|{kind}|{src}|{dst}|{info}\n")
+            if len(lines) >= TRACE_CHUNK:
+                self._flush_trace()
             if self.on_event is not None:
                 self.on_event(self, EventRecord(time, seq, kind, src, dst, info, sent_at, lat))
             if stopped:

@@ -186,6 +186,8 @@ class _Scorer:
 
     The test set stays float32; ``predict_into`` widens it into a float64
     buffer of at most ``SCORE_BLOCK_BYTES``, one block of rows at a time.
+    A test set that fits in one block is widened into it once, at the first
+    score, so in the process that scores, and multiplied from it after.
     """
 
     def __init__(self, built: BuiltExperiment):
@@ -202,6 +204,9 @@ class _Scorer:
         self.hits = np.empty(n, dtype=bool)
 
     def __call__(self, flat: np.ndarray) -> tuple[float, bytes]:
+        if self.xbuf is not None and len(self.xbuf) == len(self.X):
+            np.copyto(self.xbuf, self.X)
+            self.X, self.xbuf = self.xbuf, None
         model = self.template.with_params(flat)
         pred = predict_into(model, self.X, self.xbuf, self.logits, self.hidden, self.pred)
         acc = float(np.mean(np.equal(pred, self.labels, out=self.hits)))

@@ -255,3 +255,27 @@ def test_dataset_invariants():
         )
     with pytest.raises(ValueError):
         dt.Dataset(np.zeros((2, 3), dtype=np.float32), np.array([0, 5]), 2)
+
+
+def test_subset_keeps_the_parents_bytes_without_rescanning(monkeypatch):
+    """A subset's rows were checked with its parent, so only the parent's
+    construction scans them; the subset holds copies of its rows' bytes."""
+    pool = dt.synthetic_dataset(3, 300, 5, 4, 2.0)
+    scans = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(dt.np, "isfinite", lambda x: scans.append(x.shape) or isfinite(x))
+    idx = np.array([7, 0, 299, 7, 150])
+    sub = pool.subset(idx, "picked")
+    assert scans == []
+    assert sub.features.tobytes() == pool.features[idx].tobytes()
+    assert sub.labels.tobytes() == pool.labels[idx].tobytes()
+    assert sub.features.dtype == pool.features.dtype and sub.features.flags.c_contiguous
+    assert not sub.features.flags.writeable and not sub.labels.flags.writeable
+    assert (sub.n_classes, sub.name) == (pool.n_classes, "picked")
+    train, test = dt.train_test_split(pool, 0.25, 4)
+    shards = dt.partition_noniid(train, dt.PartitionSpec(6, 2, 5))
+    assert scans == []
+    rows = np.concatenate([s.features for s in shards])
+    assert sorted(map(bytes, rows)) == sorted(map(bytes, train.features))
+    with pytest.raises(ValueError, match="non-empty"):
+        pool.subset(np.array([], dtype=np.intp))

@@ -105,6 +105,26 @@ def test_scoring_float32_blocks_equals_evaluate(kind, hidden):
         np.testing.assert_array_equal(scorer.pred, models.predict(model, test.features))
 
 
+@pytest.mark.parametrize("kind, hidden", [(models.LOGREG, 0), (models.MLP, 16)])
+def test_a_test_set_in_one_block_is_widened_once(kind, hidden):
+    # Half a block of MNIST-sized rows: the first score widens the float32
+    # set into the block, and every score multiplies from it.
+    rows = workers.SCORE_BLOCK_BYTES // (8 * 784)
+    test = synthetic_dataset(5, rows // 2, 784, 10, 3.0)
+    template = models.init_model(kind, 784, 10, hidden, np.random.default_rng(6))
+    scorer = workers._Scorer(SimpleNamespace(template=template, test=test))
+    assert scorer.xbuf.shape == (rows // 2, 784)
+    for seed in range(3):
+        flat = np.random.default_rng(seed).normal(size=template.dim)
+        model = template.with_params(flat)
+        acc, digest = scorer(flat)
+        assert scorer.xbuf is None and scorer.X.dtype == np.float64
+        assert scorer.X.tobytes() == test.features.astype(np.float64).tobytes()
+        assert acc == evaluate(model, test)
+        assert digest == hashlib.sha256(flat.astype("<f8").tobytes()).digest()
+        np.testing.assert_array_equal(scorer.pred, models.predict(model, test.features))
+
+
 def test_fedavg_skips_unchanged_models(monkeypatch):
     # Counted in shared memory, since a forked run scores in its child.
     passes = multiprocessing.get_context("fork").Value("i", 0)

@@ -94,9 +94,10 @@ class TestForward:
         logits = np.full((37, m.n_classes), np.nan)
         hidden = np.full((37, m.hidden_dim), np.nan) if m.kind == models.MLP else None
         out = np.empty(37, dtype=np.intp)
-        # Buffers reused across calls; one block of rows, then four.
-        for block in (37, 37, 10, 10):
-            xbuf = np.empty((block, m.input_dim))
+        # Buffers reused across calls; one block of rows, then four, then
+        # the float64 X multiplied whole.
+        for block in (37, 37, 10, 10, None):
+            xbuf = None if block is None else np.empty((block, m.input_dim))
             m = m.with_params(rng.normal(size=m.dim))
             got = models.predict_into(m, X, xbuf, logits, hidden, out)
             assert got is out

@@ -1,5 +1,6 @@
 """Invariants of all five algorithms over random topologies."""
 
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spykersim import protocols
 from spykersim.config import ALGORITHMS, LOCATIONS, SINGLE_SERVER, from_dict
 from spykersim.experiment import build_experiment
 from spykersim.messages import ClientUpdate, payload_bytes
@@ -41,6 +43,12 @@ def topologies(draw, algorithm):
     )
 
 
+# Every node class that defines its own ``handle``.
+NODE_CLASSES = [
+    cls for cls in vars(protocols).values() if isinstance(cls, type) and "handle" in vars(cls)
+]
+
+
 def collecting(server) -> int:
     """The updates a FedAvg server or edge holds for a round it has not
     averaged yet; a closed round's updates stay held until the next
@@ -69,24 +77,45 @@ def check_counts(built):
 def test_invariants_on_random_topologies(algorithm, data):
     """One token after every event (spyker), bytes recounted over every
     send, update counts after every event, FedAvg updates only from the
-    round's selected clients, finite server models, and no quiescent stop
-    before the horizon."""
+    round's selected clients, each update's parameters read once, by its
+    home server, finite server models, and no quiescent stop before the
+    horizon."""
     cfg = data.draw(topologies(algorithm))
     recount = {"server-server": 0, "server-client": 0}
     send = Simulator.send
+    # Each update sent, by (client, server); each update read, by the nodes
+    # whose handle read its parameters.
+    sent, reads, handling = {}, {}, []
 
     def counted_send(sim, src, dst, msg):
         if src != dst:
             both = sim.nodes[src].kind == SERVER and sim.nodes[dst].kind == SERVER
             recount["server-server" if both else "server-client"] += payload_bytes(msg)
+        if type(msg) is ClientUpdate:
+            sent[msg] = (src, dst)
         return send(sim, src, dst, msg)
 
-    handle = FedAvgServer.handle
+    original = {cls: cls.handle for cls in NODE_CLASSES}
+    params = ClientUpdate.params
 
     def selected_only(server, sim, src, msg):
         if isinstance(msg, ClientUpdate):
             assert src in server._selected
-        return handle(server, sim, src, msg)
+        return original[FedAvgServer](server, sim, src, msg)
+
+    def tracked(handle):
+        def tracked_handle(node, sim, src, msg):
+            handling.append(node.node_id)
+            try:
+                return handle(node, sim, src, msg)
+            finally:
+                handling.pop()
+
+        return tracked_handle
+
+    def read(update):
+        reads.setdefault(update, []).append(handling[-1] if handling else None)
+        return params.fget(update)
 
     token_counts = set()
 
@@ -96,8 +125,12 @@ def test_invariants_on_random_topologies(algorithm, data):
             token_counts.add(held + sim.tokens_in_flight)
         check_counts(built)
 
-    with mock.patch.object(Simulator, "send", counted_send), \
-            mock.patch.object(FedAvgServer, "handle", selected_only):
+    with ExitStack() as patches:
+        patches.enter_context(mock.patch.object(Simulator, "send", counted_send))
+        patches.enter_context(mock.patch.object(ClientUpdate, "params", property(read)))
+        for cls in NODE_CLASSES:
+            handle = selected_only if cls is FedAvgServer else original[cls]
+            patches.enter_context(mock.patch.object(cls, "handle", tracked(handle)))
         built = build_experiment(cfg)
         sim = built.sim
         sim.on_event = after_event
@@ -105,6 +138,13 @@ def test_invariants_on_random_topologies(algorithm, data):
 
     assert token_counts == ({1} if cfg.algorithm == "spyker" else set())
     assert sim.bytes_by_class == recount
+    home = {c.node_id: c.home_server for c in built.clients}
+    for update, readers in reads.items():
+        client, server = sent[update]
+        assert readers == [server] == [home[client]]
+    # Every update a server counted was read; the rest are still in flight,
+    # queued or, in a synchronous exchange, buffered.
+    assert len(reads) == sum(sum(s.u.values()) for s in built.servers)
     nodes = built.servers + ([built.cloud] if built.cloud is not None else [])
     assert all(np.isfinite(s.model.params).all() for s in nodes)
     assert sim.stop_reason == "horizon"

@@ -1,5 +1,7 @@
 """Event engine: ordering, FIFO links, queues, byte accounting, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,35 @@ class TestRunLoop:
             return sim.trace_hash()
 
         assert build(2.0) != build(3.0)
+
+
+    def test_trace_hash_mid_run_and_after_a_target_stop(self):
+        """The hash is fed a chunk of lines at a time; read from an eval hook
+        or after the stop, it is the SHA-256 of every line so far."""
+        sim = make_sim()
+        sim.add_node(Pinger(0, "Paris", 1, [update() for _ in range(3 * sm.TRACE_CHUNK)]))
+        sim.add_node(Sink(1, "Paris", service=0.25))
+        for n in sim.nodes.values():
+            n.bootstrap(sim)
+        lines = []
+        sim.on_event = lambda s, record: lines.append(record.line() + "\n")
+
+        def so_far():
+            return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+        checked = []
+
+        def hook(s):
+            assert s.trace_hash() == so_far()
+            checked.append(len(lines))
+            return len(checked) == 7
+
+        sim.run(eval_interval_ms=50.0, eval_hook=hook)
+        assert sim.stop_reason == "target"
+        assert sim.trace_hash() == so_far()
+        assert sim.events_processed == len(lines) > 2 * sm.TRACE_CHUNK
+        # The hook read the hash with part of a chunk not hashed yet.
+        assert any(n % sm.TRACE_CHUNK for n in checked) and len(set(checked)) == 7
 
 
 class TestComputeProfile:

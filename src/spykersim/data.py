@@ -232,8 +232,17 @@ def partition_noniid(data: Dataset, spec: PartitionSpec) -> list[Dataset]:
     samples are then split evenly among its clients, with the larger chunks
     steered to the currently smallest shards.
     """
-    present = np.unique(data.labels)
-    spec.validate(data.n_classes)
+    return [
+        data.subset(idx, f"{data.name}-shard{i}")
+        for i, idx in enumerate(shard_rows(data.labels, data.n_classes, spec))
+    ]
+
+
+def shard_rows(labels: np.ndarray, n_classes: int, spec: PartitionSpec) -> list[np.ndarray]:
+    """Each client's sorted row positions in ``partition_noniid``'s deal; they
+    depend on the labels alone, and every row goes to exactly one shard."""
+    present = np.unique(labels)
+    spec.validate(n_classes)
     n, l = spec.n_clients, min(spec.labels_per_client, len(present))
     rng = np.random.default_rng(spec.seed)
 
@@ -249,7 +258,7 @@ def partition_noniid(data: Dataset, spec: PartitionSpec) -> list[Dataset]:
     shard_idx: list[list[np.ndarray]] = [[] for _ in range(n)]
     shard_sizes = np.zeros(n, dtype=np.int64)
     for c in sorted(label_clients):
-        members = np.flatnonzero(data.labels == c)
+        members = np.flatnonzero(labels == c)
         members = members[rng.permutation(len(members))]
         owners = label_clients[c]
         chunks = np.array_split(members, len(owners))
@@ -259,16 +268,13 @@ def partition_noniid(data: Dataset, spec: PartitionSpec) -> list[Dataset]:
         for chunk, i in zip(chunks, order):
             shard_idx[i].append(chunk)
             shard_sizes[i] += len(chunk)
-    shards = []
     for i in range(n):
         if not shard_idx[i] or shard_sizes[i] == 0:
             raise ConfigError(
                 f"partition left client {i} without data; "
                 "reduce n_clients or rebalance labels_per_client"
             )
-        idx = np.sort(np.concatenate(shard_idx[i]))
-        shards.append(data.subset(idx, f"{data.name}-shard{i}"))
-    return shards
+    return [np.sort(np.concatenate(chunks)) for chunks in shard_idx]
 
 
 def evaluate(model, test: Dataset) -> float:

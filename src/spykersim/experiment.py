@@ -33,6 +33,7 @@ from .data import (
     PartitionSpec,
     load_idx,
     partition_noniid,
+    shard_rows,
     synthetic_dataset,
     train_test_split,
 )
@@ -86,15 +87,39 @@ def _stratified_subsample(data: Dataset, n: int, seed: int, name: str) -> Datase
     return data.subset(idx, name)
 
 
+@dataclass
+class _Task:
+    """The last seeded task drawn in this process: its test set, the train
+    set's labels and name, and the shards that the last build cut from the
+    train set.  It holds no array that the built run does not hold."""
+
+    key: tuple
+    test: Dataset
+    labels: np.ndarray
+    name: str
+    spec: PartitionSpec | None = None
+    shards: list[Dataset] | None = None
+
+
+_task: _Task | None = None
+
+
 def load_task(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """Train/test pair for the configured dataset.
 
     The image task reads IDX files from the directory named by the data-root
-    environment variable; when it is unset, a seeded synthetic stand-in with
-    the same shape is used so runs never require a download.
+    environment variable, on every call; when it is unset, a seeded synthetic
+    stand-in with the same shape is used so runs never require a download.
+
+    A seeded task is drawn once per process while its key (dataset, seed,
+    n_samples, input_dim, n_classes, separation, test_fraction) repeats: the
+    next call returns the same test set and rebuilds the train set from the
+    last build's shards, which the process entry then lets go.
     """
+    global _task
     root = os.environ.get(DATA_ROOT_ENV)
     if cfg.dataset == "mnist" and root:
+        _task = None
         train = load_idx(os.path.join(root, MNIST_FILES[0]), os.path.join(root, MNIST_FILES[1]))
         test = load_idx(os.path.join(root, MNIST_FILES[2]), os.path.join(root, MNIST_FILES[3]))
         for part, data in (("train", train), ("t10k", test)):
@@ -115,6 +140,14 @@ def load_task(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         test = _stratified_subsample(test, 2000, sub_seed + 1, "mnist-test")
         return train, test
 
+    key = (cfg.dataset, cfg.seed, cfg.n_samples, cfg.input_dim, cfg.n_classes,
+           cfg.separation, cfg.test_fraction)
+    if _task is not None and _task.key == key and _task.shards is not None:
+        X = np.empty((len(_task.labels), cfg.input_dim), dtype=np.float32)
+        for rows, shard in zip(shard_rows(_task.labels, cfg.n_classes, _task.spec), _task.shards):
+            X[rows] = shard.features
+        _task.shards = None
+        return Dataset(X, _task.labels, cfg.n_classes, _task.name, rows_checked=True), _task.test
     pool = synthetic_dataset(
         derive_seed(cfg.seed, _DATA),
         cfg.n_samples,
@@ -123,7 +156,9 @@ def load_task(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         cfg.separation,
         name="synthetic" if cfg.dataset == "synthetic" else "image-surrogate",
     )
-    return train_test_split(pool, cfg.test_fraction, derive_seed(cfg.seed, _SPLIT))
+    train, test = train_test_split(pool, cfg.test_fraction, derive_seed(cfg.seed, _SPLIT))
+    _task = _Task(key, test, train.labels, train.name)
+    return train, test
 
 
 @dataclass
@@ -164,9 +199,11 @@ def build_experiment(cfg: ExperimentConfig) -> BuiltExperiment:
     seed = cfg.seed
 
     train, test = load_task(cfg)
-    shards = partition_noniid(
-        train, PartitionSpec(cfg.n_clients, cfg.labels_per_client, derive_seed(seed, _PARTITION))
-    )
+    spec = PartitionSpec(cfg.n_clients, cfg.labels_per_client, derive_seed(seed, _PARTITION))
+    shards = partition_noniid(train, spec)
+    # Keep the shards when the train set is the entry's, not read from IDX files.
+    if _task is not None and _task.labels is train.labels:
+        _task.spec, _task.shards = spec, shards
     template = init_model(
         cfg.model_kind,
         train.dim,

@@ -414,10 +414,14 @@ def test_manifest_records_numpy_simd(tmp_path):
 
 # -- across processes ---------------------------------------------------------------
 
+# Runs every config but the last without artifacts, then the last one.
 _CHILD = """
 import hashlib, json, os, sys
 from spykersim.config import from_dict
 from spykersim.experiment import run_experiment
+*before, cfg = [from_dict(raw) for raw in json.loads(sys.argv[2])]
+for earlier in before:
+    run_experiment(earlier)
 forks = 0
 fork = os.fork
 def counted():
@@ -426,7 +430,7 @@ def counted():
     forks += pid > 0
     return pid
 os.fork = counted
-res = run_experiment(from_dict(json.loads(sys.argv[2])), sys.argv[1])
+res = run_experiment(cfg, sys.argv[1])
 h = hashlib.sha256()
 for s in res.built.servers:
     h.update(s.model.params.tobytes())
@@ -434,12 +438,16 @@ print(h.hexdigest(), forks)
 """
 
 
-def _child_run(out: Path, threads: str, hashseed: str, cfg: dict, **env_vars: str) -> dict:
+def _child_run(
+    out: Path, threads: str, hashseed: str, cfg: dict, before: tuple = (), **env_vars: str
+) -> dict:
+    """Run ``cfg`` in a fresh process, after the ``before`` configs, and read
+    back its artifacts."""
     env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env.update(OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hashseed, PYTHONPATH=str(SRC))
     env.update(env_vars)
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(out), json.dumps(cfg)],
+        [sys.executable, "-c", _CHILD, str(out), json.dumps([*before, cfg])],
         env=env, capture_output=True, text=True, check=True,
     )
     params, forks = done.stdout.split()
@@ -478,6 +486,19 @@ def test_parameters_repeat_across_processes_and_blas_threads(tmp_path, cfg, fork
     assert len(a["params"]) == 64 and len(a["model"]) == 65
     assert a["forks"] == forks
     assert a == b
+
+
+@bundled_openblas
+def test_a_run_on_a_reused_task_repeats_a_fresh_process(tmp_path):
+    # The second run of a process rebuilds its task from the first run's
+    # shards; its artifacts equal those of a process that runs it alone.
+    spyker = {"preset": "desk-synth", "seed": 3, "horizon_ms": 1000.0, "eval_interval_ms": 250.0}
+    fedavg = {**spyker, "algorithm": "fedavg", "n_servers": 1}
+    alone = _child_run(tmp_path / "alone", "1", "0", fedavg)
+    after = _child_run(tmp_path / "after", "1", "0", fedavg, before=(spyker,))
+    assert alone == after
+    for name in ("summary.json", "manifest.json"):
+        assert (tmp_path / "alone" / name).read_bytes() == (tmp_path / "after" / name).read_bytes()
 
 
 AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")

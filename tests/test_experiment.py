@@ -1,17 +1,29 @@
 """Topology wiring, artifact round-trips, and determinism of full runs."""
 
 import csv
+import dataclasses
+import gc
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
+import spykersim.experiment as experiment
 import spykersim.models as models
 from spykersim.cli import main
-from spykersim.config import ALGORITHMS, DATA_ROOT_ENV, LOCATIONS, SINGLE_SERVER, from_dict
+from spykersim.config import (
+    ALGORITHMS,
+    DATA_ROOT_ENV,
+    LOCATIONS,
+    SINGLE_SERVER,
+    ExperimentConfig,
+    from_dict,
+)
 from spykersim.data import Dataset
 from spykersim.errors import ConfigError
+from spykersim.hyperparams import HyperParams
 from spykersim.experiment import (
     build_experiment,
     load_task,
@@ -21,7 +33,7 @@ from spykersim.experiment import (
     updates_to_accuracy,
 )
 from spykersim.messages import Token
-from spykersim.simulation import RunManifest
+from spykersim.simulation import ComputeProfile, RunManifest
 from spykersim.suites import UNREACHED, median_over_seeds, variant
 
 
@@ -351,6 +363,163 @@ def test_idx_test_set_of_another_size_is_a_config_error(tmp_path, monkeypatch):
     for o in overrides:
         argv += ["--override", o]
     assert main(argv) == 1
+
+
+# -- the process's last seeded task --------------------------------------------
+
+ARTIFACTS = ("trace-hash.txt", "model-hash.txt", "timeseries.csv", "summary.json", "manifest.json")
+
+
+def data_bytes(built) -> tuple:
+    """Every client's shard and the test set, as bytes."""
+    shards = [(c._X.tobytes(), c._y.tobytes()) for c in built.clients]
+    return shards, built.test.features.tobytes(), built.test.labels.tobytes()
+
+
+def forget_task():
+    experiment._task = None
+
+
+def test_reused_task_equals_cold_build(tmp_path, monkeypatch):
+    monkeypatch.delenv(DATA_ROOT_ENV, raising=False)
+    draws = []
+    draw = experiment.synthetic_dataset
+    monkeypatch.setattr(experiment, "synthetic_dataset", lambda *a, **k: draws.append(a) or draw(*a, **k))
+    base = tiny(n_samples=800, horizon_ms=1000.0)
+    # The five algorithms of one seed, two more client counts on it, another
+    # seed, and back.
+    cfgs = [variant(base, alg) for alg in ALGORITHMS]
+    cfgs += [dataclasses.replace(base, n_clients=n) for n in (40, 80)]
+    cfgs += [dataclasses.replace(base, seed=1), base]
+
+    def run_all(cold: bool) -> list:
+        out = []
+        for i, cfg in enumerate(cfgs):
+            if cold:
+                forget_task()
+            run_dir = tmp_path / ("cold" if cold else "warm") / str(i)
+            res = run_experiment(cfg, str(run_dir))
+            out.append((data_bytes(res.built), [(run_dir / n).read_bytes() for n in ARTIFACTS]))
+        return out
+
+    forget_task()
+    warm = run_all(cold=False)
+    # Seed 0 is drawn once for its first seven runs, then seed 1, then seed 0.
+    assert len(draws) == 3
+    assert run_all(cold=True) == warm
+    assert len(draws) == 3 + len(cfgs)
+
+
+# One valid value per config field, other than the value in ``tiny()``.
+CHANGED = {
+    "algorithm": "sync-spyker",
+    "preset": "desk-synth",
+    "n_servers": 2,
+    "n_clients": 12,
+    "client_counts": (5, 1, 1, 1),
+    "server_locations": LOCATIONS[::-1],
+    "client_locations": LOCATIONS * 2,
+    "latency": "uniform",
+    "bandwidth_bps": 1e6,
+    "dataset": "mnist",
+    "n_samples": 500,
+    "input_dim": 7,
+    "n_classes": 3,
+    "separation": 2.0,
+    "test_fraction": 0.3,
+    "labels_per_client": 1,
+    "model_kind": models.MLP,
+    "hidden_dim": 5,
+    "hyper": HyperParams(batch_size=4),
+    "compute": ComputeProfile(training_mean_ms=90.0),
+    "seed": 1,
+    "horizon_ms": 1000.0,
+    "target_accuracy": 0.9,
+    "max_updates": 5,
+    "eval_interval_ms": 250.0,
+    "eval_target": "mean",
+    "sync_period": 50.0,
+    "cloud_period": 3,
+    "selection_fraction": 0.5,
+}
+
+
+def test_every_config_field_gives_a_warm_build_equal_to_a_cold_one(monkeypatch):
+    # A field that load_task reads and the entry's key leaves out would hand
+    # the warm build the base config's data.
+    monkeypatch.delenv(DATA_ROOT_ENV, raising=False)
+    assert set(CHANGED) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    base = tiny()
+    for name, value in CHANGED.items():
+        cfg = dataclasses.replace(base, **{name: value})
+        if name == "model_kind":  # an MLP needs a hidden layer
+            cfg = dataclasses.replace(cfg, hidden_dim=5)
+        cfg.validate()
+        build_experiment(base)
+        warm = data_bytes(build_experiment(cfg))
+        forget_task()
+        assert data_bytes(build_experiment(cfg)) == warm, name
+
+
+def float_arrays(obj) -> list:
+    """The float arrays reachable from ``obj``."""
+    out, stack, seen = [], [obj], set()
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, type):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            if o.dtype.kind == "f":
+                out.append(o)
+        else:
+            stack.extend(gc.get_referents(o))
+    return out
+
+
+def test_task_entry_holds_only_arrays_of_the_built_run(monkeypatch):
+    monkeypatch.delenv(DATA_ROOT_ENV, raising=False)
+    calls, trains = [], []
+    partition = experiment.partition_noniid
+
+    def counted(train, spec):
+        # While the new shards are cut, the entry holds the test set alone,
+        # on a hit as on a miss.
+        assert len(float_arrays(experiment._task)) == 1
+        calls.append(spec)
+        trains.append(weakref.ref(train.features))
+        return partition(train, spec)
+
+    monkeypatch.setattr(experiment, "partition_noniid", counted)
+    forget_task()
+    cfg = tiny(horizon_ms=500.0)
+    first = run_experiment(cfg)
+    shards = [weakref.ref(c._X) for c in first.built.clients]
+    for n_clients in (8, 12):  # a hit, then a hit with another partition
+        built = build_experiment(dataclasses.replace(cfg, n_clients=n_clients))
+        assert built.test is first.built.test
+        held = {id(c._X) for c in built.clients} | {id(built.test.features)}
+        entry = float_arrays(experiment._task)
+        assert entry and {id(a) for a in entry} <= held
+        assert trains[-1]() is None  # the rebuilt train set is gone
+    assert len(calls) == 3 and calls[1].n_clients == 8 and calls[2].n_clients == 12
+    # The first run's shards live only as long as its result.
+    assert all(ref() is not None for ref in shards)
+    del first
+    gc.collect()
+    assert all(ref() is None for ref in shards)
+
+
+def test_idx_files_are_read_on_every_build(tmp_path, monkeypatch):
+    monkeypatch.setenv(DATA_ROOT_ENV, str(tmp_path))
+    cfg = tiny(dataset="mnist", input_dim=4, n_classes=3, n_samples=30)
+    for seed in (1, 2):
+        write_idx_dir(tmp_path, (30, 2, 2, 3), (12, 2, 2, 3))
+        pixels, _, img, lab = write_idx(tmp_path, 12, 2, 2, 3, seed=seed)
+        (tmp_path / "t10k-images-idx3-ubyte").write_bytes(img)
+        built = build_experiment(cfg)
+        np.testing.assert_allclose(built.test.features, pixels.reshape(12, 4) / 255.0, atol=1e-7)
+        assert experiment._task is None
 
 
 # -- curve helpers ------------------------------------------------------------

@@ -10,6 +10,7 @@ given a seed.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -108,13 +109,22 @@ def _read_idx_header(buf: bytes, path: str) -> tuple[int, list[int], int]:
     return magic, dims, header
 
 
-def load_idx(images_path: str, labels_path: str) -> Dataset:
+def load_idx(
+    images_path: str,
+    labels_path: str,
+    pick: Callable[[np.ndarray, int], np.ndarray | None] | None = None,
+    name: str = "idx",
+) -> Dataset:
     """Load an IDX image/label file pair into a flat float32 dataset.
 
     Pixel bytes are scaled to [0, 1].  Raises IdxMagicError when a file does
     not carry the expected magic (e.g. swapped arguments), IdxTruncatedError
     when the payload is shorter than the header promises, and
     IdxCountMismatchError when the two files disagree on the sample count.
+
+    ``pick(labels, n_classes)`` may choose the rows to keep from the whole
+    file's labels (None keeps them all); only those rows are widened to
+    float32.  Every check, and ``n_classes``, covers the whole file.
     """
     with open(images_path, "rb") as f:
         img_buf = f.read()
@@ -144,10 +154,15 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         )
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, count=n * dim, offset=img_off)
-    X = (pixels.astype(np.float32) / np.float32(255.0)).reshape(n, dim)
+    pixels = pixels.reshape(n, dim)
     y = np.frombuffer(lab_buf, dtype=np.uint8, count=n, offset=lab_off).astype(np.int64)
     n_classes = int(y.max()) + 1 if n else 0
-    return Dataset(X, y, n_classes, name="idx")
+    rows = None if pick is None else pick(y, n_classes)
+    if rows is not None:
+        pixels, y = pixels[rows], y[rows]
+    X = pixels.astype(np.float32)
+    X /= np.float32(255.0)
+    return Dataset(X, y, n_classes, name=name)
 
 
 def synthetic_dataset(

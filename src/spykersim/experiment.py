@@ -22,6 +22,7 @@ import os
 from collections.abc import Callable
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .protocols import (
     SyncSpykerServer,
     TrainingClient,
 )
+from .protocols.clients import HashedState, dispatch_tables, seed_states, uint32_words
 from .simulation import (
     AWS4_LATENCY_MS,
     LinkModel,
@@ -70,21 +72,38 @@ MNIST_FILES = (
 )
 
 
+# At most this many dispatch states (32 B each) are hashed at build time for
+# a whole run; a client whose rounds overflow its share extends its table.
+_TABLE_ROWS = 1 << 20
+
+
 def derive_seed(master: int, tag: int, extra: int = 0) -> int:
     return int(np.random.SeedSequence([master, tag, extra]).generate_state(1)[0])
 
 
-def _stratified_subsample(data: Dataset, n: int, seed: int, name: str) -> Dataset:
-    if n >= data.n_samples:
-        return data
+def client_seeds(master: int, tags: tuple[int, ...], n: int) -> np.ndarray:
+    """Row t holds ``derive_seed(master, tags[t], i)`` for i in range(n),
+    hashed in one pass."""
+    words = uint32_words(master)
+    entropy = np.empty((len(tags), n, len(words) + 2), np.uint32)
+    entropy[:, :, : len(words)] = words
+    entropy[:, :, -2] = np.array(tags, np.uint32)[:, None]
+    entropy[:, :, -1] = np.arange(n, dtype=np.uint32)
+    return seed_states(entropy.reshape(-1, len(words) + 2), 1).reshape(len(tags), n)
+
+
+def _stratified_rows(n: int, seed: int, labels: np.ndarray, n_classes: int) -> np.ndarray | None:
+    """About n sorted row positions, each class kept in proportion and at
+    least once; None keeps every row when there are at most n."""
+    if n >= len(labels):
+        return None
     rng = np.random.default_rng(seed)
     take: list[np.ndarray] = []
-    for c in range(data.n_classes):
-        members = np.flatnonzero(data.labels == c)
-        k = max(1, int(round(n * len(members) / data.n_samples)))
+    for c in range(n_classes):
+        members = np.flatnonzero(labels == c)
+        k = max(1, int(round(n * len(members) / len(labels))))
         take.append(rng.permutation(members)[:k])
-    idx = np.sort(np.concatenate(take))
-    return data.subset(idx, name)
+    return np.sort(np.concatenate(take))
 
 
 @dataclass
@@ -120,8 +139,12 @@ def load_task(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     root = os.environ.get(DATA_ROOT_ENV)
     if cfg.dataset == "mnist" and root:
         _task = None
-        train = load_idx(os.path.join(root, MNIST_FILES[0]), os.path.join(root, MNIST_FILES[1]))
-        test = load_idx(os.path.join(root, MNIST_FILES[2]), os.path.join(root, MNIST_FILES[3]))
+        # Each set's rows are picked from its labels before any is widened.
+        sub_seed = derive_seed(cfg.seed, _SUBSAMPLE)
+        paths = [os.path.join(root, f) for f in MNIST_FILES]
+        pick = partial(_stratified_rows, cfg.n_samples, sub_seed)
+        train = load_idx(*paths[:2], pick, "mnist-train")
+        test = load_idx(*paths[2:], partial(_stratified_rows, 2000, sub_seed + 1), "mnist-test")
         for part, data in (("train", train), ("t10k", test)):
             if data.dim != cfg.input_dim:
                 raise ConfigError(
@@ -135,9 +158,6 @@ def load_task(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
                     f"{part} set at {root} has {data.n_classes} classes, config expects "
                     f"n_classes={cfg.n_classes}"
                 )
-        sub_seed = derive_seed(cfg.seed, _SUBSAMPLE)
-        train = _stratified_subsample(train, cfg.n_samples, sub_seed, "mnist-train")
-        test = _stratified_subsample(test, 2000, sub_seed + 1, "mnist-test")
         return train, test
 
     key = (cfg.dataset, cfg.seed, cfg.n_samples, cfg.input_dim, cfg.n_classes,
@@ -315,12 +335,26 @@ def build_experiment(cfg: ExperimentConfig) -> BuiltExperiment:
     if cloud is not None:
         sim.add_node(cloud)
 
+    # Each client's shuffle seed, and the PCG64 state that
+    # default_rng(derive_seed(seed, _CLIENT_DELAY, i)) would seed from.
+    shuffle_seeds, delay_seeds = client_seeds(seed, (_CLIENT_SHUFFLE, _CLIENT_DELAY), cfg.n_clients)
+    delay_states = seed_states(delay_seeds[:, None], 4, np.uint64)
+    delays = [
+        cfg.compute.sample_training_ms(np.random.Generator(np.random.PCG64(HashedState(state))))
+        for state in delay_states
+    ]
+    # A client's services follow one another and each lasts its training
+    # delay times the epochs, and a training is posted only if its service
+    # ends by the horizon, so these rounds are all it can train.
+    service_ms = np.array(delays) * hp.local_epochs
+    rounds = np.floor(cfg.horizon_ms / service_ms) + 1
+    rounds = np.minimum(rounds, max(1, _TABLE_ROWS // cfg.n_clients)).astype(np.int64)
+    tables = dispatch_tables(shuffle_seeds, rounds)
+
     node_seeds: dict[str, int] = {}
     clients = []
     for i, cid in enumerate(client_ids):
-        shuffle_seed = derive_seed(seed, _CLIENT_SHUFFLE, i)
-        delay_rng = np.random.default_rng(derive_seed(seed, _CLIENT_DELAY, i))
-        delay = cfg.compute.sample_training_ms(delay_rng)
+        shuffle_seed = int(shuffle_seeds[i])
         client = TrainingClient(
             cid,
             locs[i],
@@ -329,8 +363,9 @@ def build_experiment(cfg: ExperimentConfig) -> BuiltExperiment:
             template,
             hp.local_epochs,
             hp.batch_size,
-            delay,
+            delays[i],
             shuffle_seed,
+            tables[i],
         )
         sim.add_node(client)
         clients.append(client)

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import json
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -21,7 +22,7 @@ from spykersim.config import (
     ExperimentConfig,
     from_dict,
 )
-from spykersim.data import Dataset
+from spykersim.data import Dataset, load_idx
 from spykersim.errors import ConfigError
 from spykersim.hyperparams import HyperParams
 from spykersim.experiment import (
@@ -363,6 +364,46 @@ def test_idx_test_set_of_another_size_is_a_config_error(tmp_path, monkeypatch):
     for o in overrides:
         argv += ["--override", o]
     assert main(argv) == 1
+
+
+def test_idx_rows_are_picked_before_they_are_widened(tmp_path, monkeypatch):
+    """The kept rows equal those picked from fully widened files, at less
+    than half the traced peak memory."""
+    write_idx_dir(tmp_path, (6000, 28, 28, 10), (2500, 28, 28, 10))
+    monkeypatch.setenv(DATA_ROOT_ENV, str(tmp_path))
+    cfg = tiny(dataset="mnist", input_dim=784, n_classes=10, n_samples=600)
+    paths = [str(tmp_path / name) for name in experiment.MNIST_FILES]
+    seed = experiment.derive_seed(cfg.seed, experiment._SUBSAMPLE)
+
+    def subsample(data, n, seed):
+        # The stratified pick, on a set that is already widened.
+        rng = np.random.default_rng(seed)
+        take = []
+        for c in range(data.n_classes):
+            members = np.flatnonzero(data.labels == c)
+            k = max(1, int(round(n * len(members) / data.n_samples)))
+            take.append(rng.permutation(members)[:k])
+        return data.subset(np.sort(np.concatenate(take)))
+
+    def widened_first():
+        train, test = load_idx(*paths[:2]), load_idx(*paths[2:])
+        return subsample(train, 600, seed), subsample(test, 2000, seed + 1)
+
+    def traced(load):
+        tracemalloc.start()
+        try:
+            return load(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    want, want_peak = traced(widened_first)
+    got, got_peak = traced(lambda: load_task(cfg))
+    for a, b in zip(got, want):
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
+        assert a.n_classes == b.n_classes == 10
+    assert [d.n_samples for d in got] == [600, 2000]
+    assert got_peak < want_peak / 2
 
 
 # -- the process's last seeded task --------------------------------------------

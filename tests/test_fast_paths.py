@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spykersim import models
@@ -27,7 +27,17 @@ from spykersim.hyperparams import HyperParams
 from spykersim.messages import ClientUpdate, ModelBroadcast, ModelDispatch
 from spykersim.models import first_non_finite
 from spykersim.protocols import TrainingClient
-from spykersim.protocols.clients import uint32_words
+from spykersim import experiment, workers
+from spykersim.config import from_dict
+from spykersim.experiment import (
+    _CLIENT_DELAY,
+    _CLIENT_SHUFFLE,
+    build_experiment,
+    client_seeds,
+    derive_seed,
+    run_experiment,
+)
+from spykersim.protocols.clients import HashedState, seed_states, uint32_words
 from spykersim.simulation import LOCATIONS
 
 from test_baselines import build_fedasync, build_fedavg, make_task
@@ -222,3 +232,123 @@ def test_uint32_words_rejects_negative_seeds():
         uint32_words(-1)
     with pytest.raises(ValueError):
         np.random.default_rng([-1, 0])
+
+
+# -- seed states hashed in one pass --------------------------------------------------
+
+
+def reference_states(words: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    seq = np.random.SeedSequence(words)
+    return seq.generate_state(4, np.uint64), seq.generate_state(1, np.uint32)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**70 - 1),
+    rounds=st.lists(st.integers(0, 2**33 - 1), min_size=1, max_size=5),
+)
+@example(seed=0, rounds=[0])
+@example(seed=2**32 - 1, rounds=[2**32 - 1, 2**32, 0])
+@example(seed=2**32, rounds=[2**32 - 1, 2**32])
+# Five and six words: the last ones are mixed in past the pool of four.
+@example(seed=2**64 + 5, rounds=[2**32, 2**33 - 1, 7])
+@example(seed=2**70 - 1, rounds=[2**33 - 1])
+def test_seed_states_are_those_of_seed_sequence(seed, rounds):
+    by_length: dict[int, list[list[int]]] = {}
+    for r in rounds:
+        words = uint32_words(seed) + uint32_words(r)
+        by_length.setdefault(len(words), []).append(words)
+    for rows in by_length.values():
+        entropy = np.array(rows, np.uint32)
+        wide, narrow = seed_states(entropy, 4, np.uint64), seed_states(entropy, 1)
+        assert wide.dtype == np.uint64 and narrow.dtype == np.uint32
+        for words, w, n in zip(rows, wide, narrow):
+            ref_wide, ref_narrow = reference_states(words)
+            np.testing.assert_array_equal(w, ref_wide)
+            np.testing.assert_array_equal(n, ref_narrow)
+
+
+@pytest.mark.parametrize("length", [1, 3, 4, 5, 8, 13])
+def test_seed_states_of_entropy_longer_or_shorter_than_the_pool(length):
+    rng = np.random.default_rng(length)
+    entropy = rng.integers(0, 2**32, size=(6, length), dtype=np.uint32)
+    entropy[0] = 0
+    entropy[1] = 2**32 - 1
+    wide, narrow = seed_states(entropy, 4, np.uint64), seed_states(entropy, 1)
+    for words, w, n in zip(entropy.tolist(), wide, narrow):
+        ref_wide, ref_narrow = reference_states(words)
+        np.testing.assert_array_equal(w, ref_wide)
+        np.testing.assert_array_equal(n, ref_narrow)
+
+
+def test_a_client_table_extends_past_its_rounds():
+    shards, template, _ = make_task(1)
+    seed = 2**32 + 9
+    words = [[seed, r] for r in range(3)]
+    table = np.concatenate([reference_states(w)[0][None] for w in words])
+    client = TrainingClient(1, LOCATIONS[0], 0, shards[0], template, 1, 8, 100.0, seed, table)
+    for r in range(200):
+        np.testing.assert_array_equal(client._state(r), reference_states([seed, r])[0])
+    assert len(client._states) >= 200
+    # A round far past the table is hashed alone; the table stays as it is.
+    far = 10**6
+    np.testing.assert_array_equal(client._state(far), reference_states([seed, far])[0])
+    assert len(client._states) < far
+
+
+def desk_synth(**extra):
+    return from_dict({"preset": "desk-synth", "seed": 3, "horizon_ms": 1500.0, **extra})
+
+
+def test_client_seed_tables_hold_the_rounds_a_client_can_train(monkeypatch):
+    """A table holds at most one row more than the rounds a client can
+    train within the horizon, and a run at that horizon never extends it."""
+    cfg = desk_synth()
+    epochs = cfg.resolved_hyper().local_epochs
+    tables = []
+
+    def kept_build(c):
+        built = build_experiment(c)
+        tables.extend(client._states for client in built.clients)
+        return built
+
+    monkeypatch.setattr(workers, "_start_worker", workers._Threads)
+    monkeypatch.setattr("spykersim.experiment.build_experiment", kept_build)
+    res = run_experiment(cfg)
+    assert res.summary["updates"] > 0
+    for client, table in zip(res.built.clients, tables):
+        bound = math.floor(cfg.horizon_ms / (client.training_delay_ms * epochs)) + 1
+        assert 1 <= len(table) <= bound
+        assert client._states is table
+        assert client._round <= len(table)
+        for r in (0, len(table) - 1):
+            rng = np.random.Generator(np.random.PCG64(HashedState(table[r])))
+            assert rng.bit_generator.state == np.random.default_rng([client.seed, r]).bit_generator.state
+
+
+@pytest.mark.parametrize("master", [0, 3, 2**32 - 1, 2**40 + 3])
+def test_client_seeds_and_delays_are_those_of_derive_seed(master):
+    n = 12
+    shuffle, delay = client_seeds(master, (_CLIENT_SHUFFLE, _CLIENT_DELAY), n)
+    assert shuffle.tolist() == [derive_seed(master, _CLIENT_SHUFFLE, i) for i in range(n)]
+    assert delay.tolist() == [derive_seed(master, _CLIENT_DELAY, i) for i in range(n)]
+    cfg = desk_synth(seed=master)
+    built = build_experiment(cfg)
+    for i, client in enumerate(built.clients):
+        rng = np.random.default_rng(derive_seed(master, _CLIENT_DELAY, i))
+        assert client.training_delay_ms == cfg.compute.sample_training_ms(rng)
+        assert built.manifest.node_seeds[f"client-{client.node_id}"] == derive_seed(
+            master, _CLIENT_SHUFFLE, i
+        )
+
+
+def test_client_seed_tables_are_capped_for_the_whole_run():
+    """Training delays of a nanosecond would ask for 1.5e9 rounds per client
+    within the horizon; the tables hold a bounded share each instead."""
+    cfg = desk_synth(n_clients=8, compute={"training_mean_ms": 1e-6, "training_std_ms": 0.0})
+    built = build_experiment(cfg)
+    cap = experiment._TABLE_ROWS // cfg.n_clients
+    assert [len(c._states) for c in built.clients] == [cap] * cfg.n_clients
+    client = built.clients[-1]
+    np.testing.assert_array_equal(client._state(cap - 1), reference_states([client.seed, cap - 1])[0])
+    np.testing.assert_array_equal(client._state(cap), reference_states([client.seed, cap])[0])

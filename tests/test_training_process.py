@@ -11,21 +11,23 @@ import struct
 import termios
 import threading
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
+import spykersim.experiment as experiment
 import spykersim.models as models
 import spykersim.protocols.spyker as spyker
 import spykersim.workers as workers
-from spykersim.config import ALGORITHMS, from_dict
+from spykersim.config import ALGORITHMS, config_hash, from_dict
 from spykersim.errors import NumericsError
 from spykersim.experiment import build_experiment, run_experiment
 from spykersim.messages import ModelDispatch
 from spykersim.suites import variant
 from spykersim.workers import DONE, RUNNING, TrainingProcess
-from test_training_worker import Outbox, artifacts, serve
+from test_training_worker import Outbox, artifacts, seed_sequences_of_a_run, serve
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork") or workers._usable_cpus() < 2,
@@ -331,3 +333,34 @@ def test_a_killed_child_fails_the_run(monkeypatch, forks):
     assert str(err.value).startswith(f"training process {forks[0]} "), str(err.value)
     assert len(forks) == 1 and len(calls) >= 20
     assert_reaped(forks)
+
+
+def test_no_seed_sequence_is_built_after_the_build_of_a_forked_run(monkeypatch, tmp_path, forks):
+    at_build, after, res = seed_sequences_of_a_run(monkeypatch, small_synth(), tmp_path)
+    assert len(forks) == 1
+    assert res.summary["updates"] > 0
+    assert at_build > 0
+    assert after == 0
+
+
+def test_seed_tables_built_for_a_shorter_horizon_give_the_same_run(monkeypatch, tmp_path, forks):
+    """Built for 1500 ms and run to 3000 ms, most clients train past their
+    tables, which then grow; the run equals one built for 3000 ms."""
+    cfg = small_synth(horizon_ms=3000.0)
+    whole = run_experiment(cfg, str(tmp_path / "whole"))
+    build = experiment.build_experiment
+    rows = []
+
+    def short_build(c):
+        built = build(replace(c, horizon_ms=1500.0))
+        rows.extend(len(client._states) for client in built.clients)
+        built.cfg = c
+        built.manifest = replace(built.manifest, config_hash=config_hash(c))
+        return built
+
+    monkeypatch.setattr(experiment, "build_experiment", short_build)
+    short = run_experiment(cfg, str(tmp_path / "short"))
+    assert len(forks) == 2
+    past = [c for c, n in zip(short.built.clients, rows) if c._round > n + 1]
+    assert len(past) > len(rows) // 2
+    assert artifacts(short, tmp_path / "short") == artifacts(whole, tmp_path / "whole")

@@ -6,6 +6,7 @@ posted job left behind."""
 import gc
 import hashlib
 import math
+import multiprocessing
 import os
 import re
 import threading
@@ -17,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
+import spykersim.experiment as experiment
 import spykersim.models as models
 import spykersim.protocols.spyker as spyker
 import spykersim.workers as workers
@@ -51,6 +54,46 @@ def artifacts(res, out: Path) -> dict:
     got = {name: (out / name).read_bytes() for name in ARTIFACTS}
     got["params"] = final_params_sha(res)
     return got
+
+
+def count_seed_sequences(monkeypatch):
+    """Count every ``SeedSequence`` built through ``np.random.SeedSequence``
+    or ``np.random.default_rng``, in this process and in any process it
+    forks, which inherits the patch and the shared count."""
+    made = multiprocessing.get_context("fork").Value("q", 0)
+    real_class, real_rng = np.random.SeedSequence, np.random.default_rng
+
+    class Counted(real_class):
+        def __init__(self, *args, **kwargs):
+            with made.get_lock():
+                made.value += 1
+            super().__init__(*args, **kwargs)
+
+    def counted_rng(seed=None):
+        if not isinstance(seed, (np.random.BitGenerator, np.random.Generator, ISeedSequence)):
+            seed = Counted(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counted)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    return made
+
+
+def seed_sequences_of_a_run(monkeypatch, cfg, out) -> tuple[int, int, object]:
+    """The seed sequences built during the build and after it, and the run."""
+    made = count_seed_sequences(monkeypatch)
+    at_build = []
+    build = experiment.build_experiment
+
+    def counted_build(c):
+        built = build(c)
+        at_build.append(made.value)
+        made.value = 0
+        return built
+
+    monkeypatch.setattr(experiment, "build_experiment", counted_build)
+    res = run_experiment(cfg, str(out))
+    return at_build[0], made.value, res
 
 
 def train_names() -> set[str]:
@@ -342,3 +385,11 @@ def test_a_finished_job_releases_its_dispatched_params():
     # Finished but not read: the job still holds its result, not its input.
     assert training.job is None and dispatched() is None
     assert not training.result().flags.writeable
+
+
+def test_no_seed_sequence_is_built_after_the_build_of_a_threaded_run(monkeypatch, tmp_path):
+    at_build, after, res = seed_sequences_of_a_run(monkeypatch, small_mnist(), tmp_path)
+    assert res.summary["updates"] > 0
+    # The count sees the build's own seed sequences.
+    assert at_build > 0
+    assert after == 0

@@ -508,11 +508,6 @@ def write_run(result: RunResult, out_dir: str) -> None:
         f.write(result.model_hash + "\n")
 
 
-def read_summary(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)
-
-
 def time_to_accuracy(rows: list[dict], target: float) -> float | None:
     for r in rows:
         if r["accuracy"] >= target:

@@ -156,15 +156,6 @@ def _logits(m: TinyModel, X: np.ndarray):
     return h @ w2 + b2, h
 
 
-def predict_proba(m: TinyModel, X: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities, rows summing to 1."""
-    X = _check_batch(m, X)
-    z, _ = _logits(m, X)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def predict(m: TinyModel, X: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index."""
     z, _ = _logits(m, _check_batch(m, X))

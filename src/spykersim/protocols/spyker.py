@@ -184,13 +184,13 @@ class SpykerServer(SpykerBase):
                 sim.send(self.node_id, p, msg)
             self._maybe_pass_token(sim, bid)
         else:
-            # Throttle: re-gossip only after the local age has grown by >= 1.
-            if self._last_age_broadcast is None or self.age - self._last_age_broadcast >= 1.0:
-                self._last_age_broadcast = self.age
-                # Messages are frozen, so every peer can share one.
-                msg = AgeBroadcast(self.age)
-                for p in self.peer_ids:
-                    sim.send(self.node_id, p, msg)
+            # The return above throttles: a non-holder gets here only once
+            # its age has grown by >= 1 since its last gossip.
+            self._last_age_broadcast = self.age
+            # Messages are frozen, so every peer can share one.
+            msg = AgeBroadcast(self.age)
+            for p in self.peer_ids:
+                sim.send(self.node_id, p, msg)
 
     def _on_age(self, sim: Simulator, src: int, msg: AgeBroadcast) -> None:
         j = self.index_of[src]
@@ -231,8 +231,8 @@ class SpykerServer(SpykerBase):
             self._maybe_pass_token(sim, msg.bid)
 
     def _maybe_pass_token(self, sim: Simulator, bid: int) -> None:
-        if self.token is None or self.token.bid != bid:
-            return
+        """Pass the token once all n models of its bid are in; only its
+        holder calls this, with the token's bid."""
         if self.cnt.get(bid, 0) >= self.n_servers:
             out = Token(bid, tuple(self.effective_ages()))
             self.token = None

@@ -59,11 +59,11 @@ def uniform_latency_ms(value: float | None = None) -> np.ndarray:
 
 @dataclass
 class LinkModel:
-    """Latency matrix + shared per-link bandwidth + FIFO delivery state."""
+    """Latency matrix + shared per-link bandwidth; it holds no run state, so
+    runs can share one."""
 
     latency_ms: np.ndarray
     bandwidth_bps: float = 100e6
-    last_delivery: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = np.asarray(self.latency_ms, dtype=np.float64)
@@ -127,13 +127,6 @@ class RunManifest:
         d["ring_order"] = list(self.ring_order)
         return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
-    @staticmethod
-    def from_json(text: str) -> "RunManifest":
-        d = json.loads(text)
-        d["ring_order"] = tuple(d["ring_order"])
-        d["node_seeds"] = {k: int(v) for k, v in d["node_seeds"].items()}
-        return RunManifest(**d)
-
 
 class Node:
     """Base class for simulated nodes; subclasses fill in behavior."""
@@ -192,6 +185,8 @@ class Simulator:
         self._queues: dict[int, deque] = {}
         self._busy: dict[int, bool] = {}
         self._routes: dict[tuple[int, int], tuple[float, str]] = {}
+        # Each directed link's latest delivery time; links deliver in FIFO order.
+        self._last_delivery: dict[tuple[int, int], float] = {}
         # The last message sent, its trace description and, once it leaves
         # its node, its wire size and transfer time: a message sent to
         # several peers in a row is described and sized once.
@@ -253,7 +248,7 @@ class Simulator:
         nbytes, transfer = wire
         lat, byte_class = route
         at = now + lat + transfer
-        last_delivery = self.link.last_delivery
+        last_delivery = self._last_delivery
         last = last_delivery.get(key, 0.0)
         if last > at:
             at = last

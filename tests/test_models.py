@@ -60,27 +60,6 @@ class TestInit:
 
 
 class TestForward:
-    def test_proba_rows_sum_to_one(self):
-        m = make_mlp()
-        X, _ = make_batch(np.random.default_rng(1), m)
-        p = models.predict_proba(m, X)
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(p >= 0)
-
-    def test_softmax_shift_invariance(self):
-        # Huge logits must not overflow.
-        m = make_logreg()
-        big = m.with_params(m.params * 1e3)
-        p = models.predict_proba(big, np.random.default_rng(2).normal(size=(4, 4)) * 100)
-        assert np.all(np.isfinite(p))
-
-    def test_predict_matches_argmax(self):
-        m = make_mlp()
-        X, _ = make_batch(np.random.default_rng(3), m)
-        np.testing.assert_array_equal(
-            models.predict(m, X), np.argmax(models.predict_proba(m, X), axis=1)
-        )
-
     def test_dim_mismatch_rejected(self):
         m = make_logreg()
         with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
-"""Invariants of all five algorithms over random topologies."""
+"""Invariants of all five algorithms over random topologies, and equal
+runs on every trainer path."""
 
+import os
+import threading
 from contextlib import ExitStack
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -8,16 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spykersim.workers as workers
 from spykersim import protocols
 from spykersim.config import ALGORITHMS, LOCATIONS, SINGLE_SERVER, from_dict
-from spykersim.experiment import build_experiment
-from spykersim.messages import ClientUpdate, payload_bytes
+from spykersim.experiment import build_experiment, run_experiment
+from spykersim.messages import AgeBroadcast, ClientUpdate, payload_bytes
+from spykersim.models import LOGREG, MLP
 from spykersim.protocols.fedavg import FedAvgServer
+from spykersim.protocols.spyker import SpykerServer
 from spykersim.simulation import SERVER, Simulator
 
 
 @st.composite
-def topologies(draw, algorithm):
+def topologies(draw, algorithm, horizon_ms=3000.0, **extra):
     single = algorithm in SINGLE_SERVER
     n = 1 if single else draw(st.integers(1, 6))
     counts = draw(st.lists(st.integers(1, 8 if single else 4), min_size=n, max_size=n))
@@ -37,8 +44,9 @@ def topologies(draw, algorithm):
             "n_samples": 400,
             "input_dim": 6,
             "separation": 3.0,
-            "horizon_ms": 3000.0,
+            "horizon_ms": horizon_ms,
             "hyper": {"batch_size": 8},
+            **extra,
         }
     )
 
@@ -75,17 +83,20 @@ def check_counts(built):
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_invariants_on_random_topologies(algorithm, data):
-    """One token after every event (spyker), bytes recounted over every
-    send, update counts after every event, FedAvg updates only from the
-    round's selected clients, each update's parameters read once, by its
-    home server, finite server models, and no quiescent stop before the
-    horizon."""
+    """One token after every event, each age gossip at least 1 above the
+    sender's last and a token passed only by its holder with that bid
+    (spyker), bytes recounted over every send, update counts after every
+    event, FedAvg updates only from the round's selected clients, each
+    update's parameters read once, by its home server, finite server models,
+    and no quiescent stop before the horizon."""
     cfg = data.draw(topologies(algorithm))
     recount = {"server-server": 0, "server-client": 0}
     send = Simulator.send
     # Each update sent, by (client, server); each update read, by the nodes
     # whose handle read its parameters.
     sent, reads, handling = {}, {}, []
+    # Each server's last age gossip; one message goes to every peer.
+    gossip = {}
 
     def counted_send(sim, src, dst, msg):
         if src != dst:
@@ -93,7 +104,19 @@ def test_invariants_on_random_topologies(algorithm, data):
             recount["server-server" if both else "server-client"] += payload_bytes(msg)
         if type(msg) is ClientUpdate:
             sent[msg] = (src, dst)
+        elif type(msg) is AgeBroadcast and gossip.get(src) is not msg:
+            if src in gossip:
+                assert msg.age >= gossip[src].age + 1.0
+            gossip[src] = msg
         return send(sim, src, dst, msg)
+
+    maybe_pass_token = SpykerServer._maybe_pass_token
+    token_checks = []
+
+    def holder_only(server, sim, bid):
+        assert server.token is not None and server.token.bid == bid
+        token_checks.append(bid)
+        return maybe_pass_token(server, sim, bid)
 
     original = {cls: cls.handle for cls in NODE_CLASSES}
     params = ClientUpdate.params
@@ -128,6 +151,7 @@ def test_invariants_on_random_topologies(algorithm, data):
     with ExitStack() as patches:
         patches.enter_context(mock.patch.object(Simulator, "send", counted_send))
         patches.enter_context(mock.patch.object(ClientUpdate, "params", property(read)))
+        patches.enter_context(mock.patch.object(SpykerServer, "_maybe_pass_token", holder_only))
         for cls in NODE_CLASSES:
             handle = selected_only if cls is FedAvgServer else original[cls]
             patches.enter_context(mock.patch.object(cls, "handle", tracked(handle)))
@@ -137,6 +161,8 @@ def test_invariants_on_random_topologies(algorithm, data):
         sim.run(horizon_ms=cfg.horizon_ms)
 
     assert token_counts == ({1} if cfg.algorithm == "spyker" else set())
+    if cfg.algorithm == "spyker" and cfg.n_servers > 1:
+        assert gossip and token_checks
     assert sim.bytes_by_class == recount
     home = {c.node_id: c.home_server for c in built.clients}
     for update, readers in reads.items():
@@ -148,3 +174,51 @@ def test_invariants_on_random_topologies(algorithm, data):
     nodes = built.servers + ([built.cloud] if built.cloud is not None else [])
     assert all(np.isfinite(s.model.params).all() for s in nodes)
     assert sim.stop_reason == "horizon"
+
+
+def forked(built):
+    """The forked training process, for any model kind."""
+    proc = workers.TrainingProcess(built.clients, workers._Scorer(built))
+    for i, client in enumerate(built.clients):
+        client.trainer = partial(proc.submit, i)
+    return proc
+
+
+# Each trainer path as a ``_start_worker``: the run's forked process, a
+# training thread, and training inline on the loop.
+TRAINER_PATHS = {
+    "fork": forked,
+    "thread": partial(workers._Threads, train=True),
+    "inline": workers._Threads,
+}
+
+
+@st.composite
+def trainer_configs(draw):
+    model = draw(
+        st.sampled_from([{"model_kind": LOGREG}, {"model_kind": MLP, "hidden_dim": 3}])
+    )
+    return draw(topologies(draw(st.sampled_from(ALGORITHMS)), horizon_ms=1500.0, **model))
+
+
+@pytest.mark.parametrize("path", ["fork", "thread"])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(cfg=trainer_configs())
+def test_every_trainer_path_gives_the_same_run(path, cfg):
+    """Forked and threaded training give the same trace, model, rows and
+    summary as inline training, for both model kinds."""
+    if path == "fork":
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork")
+        # A fork copies only the calling thread, so the forked run comes
+        # first, before any run thread, and only when no other thread is alive.
+        others = [t.name for t in threading.enumerate() if t is not threading.current_thread()]
+        if others:
+            pytest.skip(f"other threads alive: {others}")
+    results = []
+    for start in (TRAINER_PATHS[path], TRAINER_PATHS["inline"]):
+        with mock.patch.object(workers, "_start_worker", start):
+            res = run_experiment(cfg)
+        results.append((res.trace_hash, res.model_hash, res.rows, res.summary))
+    assert results[1][3]["updates"] > 0
+    assert results[0] == results[1]

@@ -9,6 +9,7 @@ given a seed.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections.abc import Callable
 from dataclasses import InitVar, dataclass
@@ -24,6 +25,10 @@ from .errors import (
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# The longest IDX header: the magic and up to 255 dimensions.
+IDX_HEADER_MAX = 4 + 4 * 255
+# Pixel bytes read at a time: a file's picked rows are copied block by block.
+IDX_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -124,14 +129,17 @@ def load_idx(
 
     ``pick(labels, n_classes)`` may choose the rows to keep from the whole
     file's labels (None keeps them all); only those rows are widened to
-    float32.  Every check, and ``n_classes``, covers the whole file.
+    float32.  Every check, and ``n_classes``, covers the whole file.  The
+    image file is never read whole: its size is checked against its
+    header, and its pixels are read a block of rows at a time.
     """
     with open(images_path, "rb") as f:
-        img_buf = f.read()
+        img_head = f.read(IDX_HEADER_MAX)
+        img_size = os.fstat(f.fileno()).st_size
     with open(labels_path, "rb") as f:
         lab_buf = f.read()
 
-    img_magic, img_dims, img_off = _read_idx_header(img_buf, images_path)
+    img_magic, img_dims, img_off = _read_idx_header(img_head, images_path)
     if img_magic != IDX_IMAGES_MAGIC:
         raise IdxMagicError(
             f"{images_path}: expected image magic 0x{IDX_IMAGES_MAGIC:08x}, got 0x{img_magic:08x}"
@@ -144,7 +152,7 @@ def load_idx(
 
     n = img_dims[0]
     dim = int(np.prod(img_dims[1:])) if len(img_dims) > 1 else 1
-    if len(img_buf) - img_off < n * dim:
+    if img_size - img_off < n * dim:
         raise IdxTruncatedError(f"{images_path}: expected {n * dim} pixel bytes")
     if len(lab_buf) - lab_off < lab_dims[0]:
         raise IdxTruncatedError(f"{labels_path}: expected {lab_dims[0]} label bytes")
@@ -153,16 +161,38 @@ def load_idx(
             f"{images_path} has {n} samples but {labels_path} has {lab_dims[0]}"
         )
 
-    pixels = np.frombuffer(img_buf, dtype=np.uint8, count=n * dim, offset=img_off)
-    pixels = pixels.reshape(n, dim)
     y = np.frombuffer(lab_buf, dtype=np.uint8, count=n, offset=lab_off).astype(np.int64)
     n_classes = int(y.max()) + 1 if n else 0
     rows = None if pick is None else pick(y, n_classes)
-    if rows is not None:
-        pixels, y = pixels[rows], y[rows]
-    X = pixels.astype(np.float32)
+    if rows is None:
+        rows = np.arange(n)
+    X = _read_pixel_rows(images_path, img_off, n, dim, rows)
     X /= np.float32(255.0)
-    return Dataset(X, y, n_classes, name=name)
+    return Dataset(X, y[rows], n_classes, name=name)
+
+
+def _read_pixel_rows(path: str, offset: int, n: int, dim: int, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the (n, dim) uint8 pixels at ``offset`` in the
+    file, as float32, read a block of at most ``IDX_BLOCK_BYTES`` at a
+    time; a block that holds none of the rows is skipped."""
+    order = np.argsort(rows, kind="stable")
+    wanted = rows[order]
+    X = np.empty((len(rows), dim), np.float32)
+    step = max(1, IDX_BLOCK_BYTES // max(dim, 1))
+    block = np.empty((step, dim), np.uint8)
+    lo = 0
+    with open(path, "rb") as f:
+        for start in range(0, n, step):
+            hi = int(np.searchsorted(wanted, start + step))
+            if hi == lo:
+                continue
+            m = min(step, n - start)
+            f.seek(offset + start * dim)
+            if f.readinto(block[:m]) != m * dim:
+                raise IdxTruncatedError(f"{path}: expected {n * dim} pixel bytes")
+            X[order[lo:hi]] = block[wanted[lo:hi] - start]
+            lo = hi
+    return X
 
 
 def synthetic_dataset(

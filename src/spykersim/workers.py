@@ -2,31 +2,33 @@
 
 The event loop runs on the calling thread.  Each run starts one worker,
 which ``_start_worker`` alone chooses: it gives every client its
-``trainer``, called when the client's simulated training starts, so the
-worker runs a whole training delay ahead of the loop; ``score(fill)``
-posts an evaluation, whose ``fill(buf)`` writes the eval model's
-parameters into a buffer of the worker's; and ``close()`` stops it.  The
-run's ``_Evaluator`` posts each new eval model to ``score``.  An MLP
-training is mostly BLAS calls that release the interpreter lock, so MLP
-runs train on one thread and score on another (``_Threads``).  A
-logistic-regression training is mostly Python, which a thread would run
-under the loop's lock, so it goes to one forked process
-(``TrainingProcess``) where ``os.fork`` exists, the process may use two
-CPUs and no other thread runs (a fork copies only the calling thread, so
-a lock another thread holds would stay locked in the child); that
-process scores the run's evaluations too, so no thread shares the loop's
-core.  Otherwise training stays inline and ``_Threads`` scores on its
-thread.  The worker starts before any run thread, so the fork comes
-after the build, and the child holds the run's clients, shards, seeds,
-test set, scoring buffers and BLAS pin (and any monkeypatch) as they
-are.  A reader runs a job the worker has not started, so a server never
-waits behind trainings that are not due yet.  Worker threads read only
-arrays that no one writes, each buffer is written by one thread only,
-the process runs the same training and scoring on the same inputs as the
-loop, and the loop waits wherever it needs a result, so every artifact
-is the same as with all work on one thread.  On every exit the worker
-stops, dropping each client's posted training (one cut short by a target
-stop or an error), and every client gets ``train_inline`` back.
+``trainer``, called when the client's simulated training starts;
+``score(fill)`` scores an evaluation, whose ``fill(buf)`` writes the
+eval model's parameters into a buffer of the worker's; and ``close()``
+stops it.  The run's ``_Evaluator`` passes each new eval model to
+``score``.  Work leaves the loop only when a second CPU can take it.
+With one usable CPU, a run of either model kind trains and scores on the
+loop (``_OnLoop``): its clients keep ``train_inline``, and no thread or
+process starts.  Otherwise an MLP training, mostly BLAS calls that
+release the interpreter lock, runs on one thread and each scoring on
+another (``_Threads``).  A logistic-regression training is mostly
+Python, which a thread would run under the loop's lock, so it goes to
+one forked process (``TrainingProcess``), which scores the run's
+evaluations too.  Where ``os.fork`` is missing or another thread runs,
+that run stays on the loop as well: a fork copies only the calling
+thread, so a lock another thread holds would stay locked in the child.
+A thread or process runs a whole training delay ahead of the loop.  The
+worker starts before any run thread, so the fork comes after the build,
+and the child holds the run's clients, shards, seeds, test set, scoring
+buffers and BLAS pin (and any monkeypatch) as they are.  A reader runs a
+job the worker has not started, so a server never waits behind trainings
+that are not due yet.  Worker threads read only arrays that no one
+writes, each buffer is written by one thread only, the process runs the
+same training and scoring on the same inputs as the loop, and the loop
+waits wherever it needs a result, so every artifact is the same as with
+all work on one thread.  On every exit the worker stops, dropping each
+client's posted training (one cut short by a target stop or an error),
+and every client gets ``train_inline`` back.
 
 In the process, each client owns one slot of an anonymous shared
 ``mmap``: the dispatched parameters, which the child overwrites with the
@@ -106,45 +108,62 @@ def run_workers(built: BuiltExperiment) -> Iterator[_Evaluator]:
             client.trainer, client.training = train_inline, None
 
 
-def _start_worker(built: BuiltExperiment) -> _Threads | TrainingProcess:
-    """Start the run's worker, which gives every client its trainer."""
+def _start_worker(built: BuiltExperiment) -> _OnLoop | _Threads | TrainingProcess:
+    """Start the run's worker, which gives every client its trainer.  Work
+    leaves the loop only when a second CPU can take it."""
+    if _usable_cpus() < 2:
+        return _OnLoop(built)
     if built.template.kind == MLP:
-        return _Threads(built, train=True)
-    if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() > 1:
         return _Threads(built)
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return _OnLoop(built)
     proc = TrainingProcess(built.clients, _Scorer(built))
     for i, client in enumerate(built.clients):
         client.trainer = partial(proc.submit, i)
     return proc
 
 
-class _Threads:
-    """A run's scoring thread and, with ``train``, its training thread, to
-    which every client posts its trainings as ``_Training`` jobs.
+class _OnLoop:
+    """All of a run's work on the event loop: clients keep ``train_inline``,
+    and ``score(fill)`` scores at the call and returns a finished ``Future``."""
+
+    def __init__(self, built: BuiltExperiment):
+        self._scorer = _Scorer(built)
+        self._buf = np.empty(built.template.dim)
+
+    def score(self, fill: Callable[[np.ndarray], np.ndarray]) -> Future:
+        scored = Future()
+        scored.set_result(self._score(fill))
+        return scored
+
+    def _score(self, fill: Callable[[np.ndarray], np.ndarray]) -> tuple[float, bytes]:
+        return self._scorer(fill(self._buf))
+
+    def close(self) -> None:
+        pass
+
+
+class _Threads(_OnLoop):
+    """A run's training thread, to which every client posts its trainings as
+    ``_Training`` jobs, and its scoring thread.
 
     ``score(fill)`` posts ``fill(buf)`` and the scoring of ``buf`` to the
     scoring thread, the only one that writes ``buf``.  ``close()`` stops the
     scoring thread, then the training thread, dropping every job that has
     not started."""
 
-    def __init__(self, built: BuiltExperiment, train: bool = False):
-        self._scorer = _Scorer(built)
-        self._buf = np.empty(built.template.dim)
-        self._pools = [ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-eval")]
-        if train:
-            pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-train")
-            self._pools.append(pool)
-            for client in built.clients:
-                client.trainer = partial(_Training, pool)
+    def __init__(self, built: BuiltExperiment):
+        super().__init__(built)
+        self._eval = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-eval")
+        self._train = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-train")
+        for client in built.clients:
+            client.trainer = partial(_Training, self._train)
 
     def score(self, fill: Callable[[np.ndarray], np.ndarray]) -> Future:
-        return self._pools[0].submit(self._score, fill)
-
-    def _score(self, fill: Callable[[np.ndarray], np.ndarray]) -> tuple[float, bytes]:
-        return self._scorer(fill(self._buf))
+        return self._eval.submit(self._score, fill)
 
     def close(self) -> None:
-        for pool in self._pools:
+        for pool in (self._eval, self._train):
             pool.shutdown(wait=True, cancel_futures=True)
 
 
@@ -214,17 +233,19 @@ class _Scorer:
 
 
 class _Evaluator:
-    """Scores a run's eval model off the event loop, skipping repeats.
+    """Scores a run's eval model through the run's worker, skipping repeats.
 
     A call snapshots the eval model's inputs by reference: the global or
     cloud parameters, or every spyker server's parameters and age.  Servers
     replace their parameter arrays and never write them, so a snapshot with
     the same arrays and ages scores the same model, and the previous
-    result is reused.  Otherwise ``score(fill)`` posts the model to the
-    run's worker, where ``fill(buf)`` builds it with the float64 operations
-    of ``BuiltExperiment.eval_model``, in the same order, and a ``_Scorer``
-    scores it.  A call returns a pending (accuracy, digest) with a
-    ``result()`` method; calls on an unchanged snapshot share one.
+    result is reused.  Otherwise ``score(fill)`` hands the model to the
+    run's worker, which scores it at the call on the loop or posts it to
+    its thread or process; there ``fill(buf)`` builds it with the float64
+    operations of ``BuiltExperiment.eval_model``, in the same order, and a
+    ``_Scorer`` scores it.  A call returns the (accuracy, digest), finished
+    or pending, behind a ``result()`` method; calls on an unchanged
+    snapshot share one.
     """
 
     def __init__(self, built: BuiltExperiment, score: Callable[[Callable], object]):

@@ -1,6 +1,6 @@
-"""The run's evaluator: scoring on a worker thread or in the forked training
-process, skipped repeats, BLAS pinning, and parameters that repeat across
-processes and BLAS thread settings."""
+"""The run's evaluator: scoring on the loop, on a worker thread or in the
+forked training process, skipped repeats, BLAS pinning, and parameters that
+repeat across processes and BLAS thread settings."""
 
 import hashlib
 import json
@@ -78,6 +78,7 @@ def test_rows_equal_sequential_evaluation(monkeypatch, algorithm):
 
 
 def test_mnist_spyker_rows_equal_sequential_evaluation(monkeypatch):
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     cfg = from_dict(
         {"preset": "desk-mnist", "seed": 3, "n_samples": 3000, "horizon_ms": 1000.0, "eval_interval_ms": 50.0}
     )
@@ -174,7 +175,7 @@ def test_worker_error_reaches_the_caller(monkeypatch, forks, extra):
     monkeypatch.setattr(workers, "predict_into", broken)
     before = threading.active_count()
     # The run scores in its forked training process where it can fork, and
-    # on the eval thread with one CPU.
+    # on the loop with one CPU.
     for cpus in (workers._usable_cpus(), 1):
         with monkeypatch.context() as m:
             m.setattr(workers, "_usable_cpus", lambda: cpus)
@@ -307,19 +308,25 @@ def test_more_scores_than_eval_slots_resolve_while_the_child_is_busy(monkeypatch
 
 @forking
 @pytest.mark.parametrize("algorithm, target", [("spyker", 0.35), ("fedavg", 0.8)])
-def test_target_stops_at_the_same_row_in_the_child_and_on_the_thread(
+def test_target_stops_at_the_same_row_in_the_child_and_on_the_loop(
     monkeypatch, forks, algorithm, target
 ):
     cfg = tiny(algorithm, "horizon_ms=6000", "eval_interval_ms=100", f"target_accuracy={target}")
     forked = run_experiment(cfg)
     assert len(forks) == 1 and forked.summary["stop_reason"] == "target"
     with monkeypatch.context() as m:
-        # With one CPU, training stays inline and the eval thread scores.
+        # With one CPU, the run trains and scores on the loop.
         m.setattr(workers, "_usable_cpus", lambda: 1)
-        threaded = run_experiment(cfg)
+        on_loop = run_experiment(cfg)
     assert len(forks) == 1
-    assert_same_run(forked, threaded)
+    assert_same_run(forked, on_loop)
     assert_reaped(forks)
+
+
+DESK_RUNS = {
+    "desk-mnist": {"preset": "desk-mnist", "seed": 3, "n_samples": 3000, "horizon_ms": 500.0},
+    "desk-synth": {"preset": "desk-synth", "seed": 3, "horizon_ms": 500.0},
+}
 
 
 @pytest.mark.parametrize(
@@ -327,18 +334,22 @@ def test_target_stops_at_the_same_row_in_the_child_and_on_the_thread(
     [
         ("thread", ["spykersim-eval_0", "spykersim-train_0"]),
         pytest.param("process", [], marks=forking),
-        ("inline", ["spykersim-eval_0"]),
+        ("inline", []),
+        ("inline-desk-mnist", []),
+        ("inline-desk-synth", []),
     ],
 )
 def test_each_worker_starts_its_threads_and_stops_them(
     monkeypatch, forks, started_threads, kind, threads
 ):
     if kind == "thread":
-        cfg = from_dict({"preset": "desk-mnist", "seed": 3, "n_samples": 3000, "horizon_ms": 500.0})
+        cfg = from_dict(DESK_RUNS["desk-mnist"])
+    elif kind.startswith("inline-"):
+        cfg = from_dict(DESK_RUNS[kind.removeprefix("inline-")])
     else:
         cfg = tiny("spyker")
-    if kind == "inline":
-        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+    # Work leaves the loop only when a second CPU can take it.
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1 if kind.startswith("inline") else 2)
     before = threading.active_count()
     run_experiment(cfg)
     assert sorted(started_threads) == threads

@@ -312,7 +312,7 @@ def test_client_seed_tables_hold_the_rounds_a_client_can_train(monkeypatch):
         tables.extend(client._states for client in built.clients)
         return built
 
-    monkeypatch.setattr(workers, "_start_worker", workers._Threads)
+    monkeypatch.setattr(workers, "_start_worker", workers._OnLoop)
     monkeypatch.setattr("spykersim.experiment.build_experiment", kept_build)
     res = run_experiment(cfg)
     assert res.summary["updates"] > 0

@@ -185,11 +185,11 @@ def forked(built):
 
 
 # Each trainer path as a ``_start_worker``: the run's forked process, a
-# training thread, and training inline on the loop.
+# training thread, and all work on the loop.
 TRAINER_PATHS = {
     "fork": forked,
-    "thread": partial(workers._Threads, train=True),
-    "inline": workers._Threads,
+    "thread": workers._Threads,
+    "inline": workers._OnLoop,
 }
 
 

@@ -25,9 +25,10 @@ from spykersim.config import ALGORITHMS, config_hash, from_dict
 from spykersim.errors import NumericsError
 from spykersim.experiment import build_experiment, run_experiment
 from spykersim.messages import ModelDispatch
+from spykersim.protocols.clients import TrainingClient, train_inline
 from spykersim.suites import variant
 from spykersim.workers import DONE, RUNNING, TrainingProcess
-from test_training_worker import Outbox, artifacts, seed_sequences_of_a_run, serve
+from test_training_worker import Outbox, artifacts, seed_sequences_of_a_run, serve, small_mnist
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork") or workers._usable_cpus() < 2,
@@ -77,7 +78,7 @@ def assert_reaped(pids):
 
 def inline_run(monkeypatch, cfg, out):
     with monkeypatch.context() as m:
-        m.setattr(workers, "_start_worker", workers._Threads)
+        m.setattr(workers, "_start_worker", workers._OnLoop)
         return run_experiment(cfg, str(out))
 
 
@@ -95,14 +96,25 @@ def test_process_runs_equal_inline_runs(monkeypatch, tmp_path, forks, algorithm)
     assert_reaped(forks)
 
 
-@pytest.mark.parametrize("reason", ["one CPU", "another thread"])
+@pytest.mark.parametrize("reason", ["one CPU", "another thread", "one CPU, MLP"])
 def test_trains_inline_with_one_cpu_or_another_thread(monkeypatch, tmp_path, forks, reason):
-    cfg = small_synth()
-    forked = run_experiment(cfg, str(tmp_path / "process"))
-    assert len(forks) == 1
+    # An MLP run trains on a thread with two CPUs, a logistic-regression
+    # run in a forked process.
+    forking = not reason.endswith("MLP")
+    cfg = small_synth() if forking else small_mnist()
+    worker = run_experiment(cfg, str(tmp_path / "worker"))
+    assert len(forks) == forking
+    trainers = set()
+    handle = TrainingClient.handle
+
+    def watched(self, sim, src, msg):
+        trainers.add(self.trainer)
+        return handle(self, sim, src, msg)
+
+    monkeypatch.setattr(TrainingClient, "handle", watched)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(30,))
-    if reason == "one CPU":
+    if reason.startswith("one CPU"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     else:
         other.start()
@@ -113,8 +125,9 @@ def test_trains_inline_with_one_cpu_or_another_thread(monkeypatch, tmp_path, for
         if other.is_alive():
             other.join(30)
     assert not other.is_alive()
-    assert len(forks) == 1
-    assert artifacts(forked, tmp_path / "process") == artifacts(inline, tmp_path / "inline")
+    assert len(forks) == forking
+    assert trainers == {train_inline}
+    assert artifacts(worker, tmp_path / "worker") == artifacts(inline, tmp_path / "inline")
 
 
 def test_jobs_read_in_any_order_equal_inline_training(forks):

@@ -124,6 +124,7 @@ def serve(client, sim, msg):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_worker_runs_equal_inline_runs(monkeypatch, tmp_path, algorithm):
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     cfg = small_mnist(algorithm)
     seen = []
     handle = TrainingClient.handle
@@ -137,8 +138,8 @@ def test_worker_runs_equal_inline_runs(monkeypatch, tmp_path, algorithm):
     assert seen and all(seen)
     seen.clear()
     with monkeypatch.context() as m:
-        # Training stays inline and a thread scores.
-        m.setattr(workers, "_start_worker", workers._Threads)
+        # All work stays on the loop.
+        m.setattr(workers, "_start_worker", workers._OnLoop)
         inline = run_experiment(cfg, str(tmp_path / "inline"))
     assert seen and not any(seen)
     assert threaded.summary["updates"] > 0
@@ -196,7 +197,8 @@ def test_dispatched_and_trained_params_are_read_only():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_training_names_the_client():
+def test_non_finite_training_names_the_client(monkeypatch):
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     before = threading.active_count()
     cfg = small_mnist(hyper={"eta_init": 1e308})
     with pytest.raises(NumericsError) as err:
@@ -217,6 +219,7 @@ def test_non_finite_training_names_the_client():
 
 
 def test_threads_end_with_the_run(monkeypatch):
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     before = threading.active_count()
     run_experiment(small_mnist())
     assert threading.active_count() == before and not train_names()
@@ -276,14 +279,14 @@ def posting_run(monkeypatch, kind):
     the training thread or inline; return the run's clients and every
     trainer call as (client id, sim time, dispatch round, weakref to the
     returned job)."""
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     if kind == "process":
         if not hasattr(os, "fork"):
             pytest.skip("no os.fork")
-        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
         cfg = from_dict({"preset": "desk-synth", "seed": 3, "horizon_ms": 1000.0})
     else:
         cfg = small_mnist()
-    start = workers._Threads if kind == "inline" else workers._start_worker
+    start = workers._OnLoop if kind == "inline" else workers._start_worker
     posts, clients = [], []
 
     def recording(sim, client, trainer):
@@ -388,6 +391,7 @@ def test_a_finished_job_releases_its_dispatched_params():
 
 
 def test_no_seed_sequence_is_built_after_the_build_of_a_threaded_run(monkeypatch, tmp_path):
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     at_build, after, res = seed_sequences_of_a_run(monkeypatch, small_mnist(), tmp_path)
     assert res.summary["updates"] > 0
     # The count sees the build's own seed sequences.

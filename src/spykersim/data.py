@@ -29,6 +29,9 @@ IDX_LABELS_MAGIC = 0x00000801
 IDX_HEADER_MAX = 4 + 4 * 255
 # Pixel bytes read at a time: a file's picked rows are copied block by block.
 IDX_BLOCK_BYTES = 1 << 20
+# Feature bytes checked for finiteness at a time, so that the check's bool
+# mask stays small beside the features.
+CHECK_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,10 @@ class Dataset:
         if X.shape[0] == 0:
             raise ValueError("dataset must be non-empty")
         if not rows_checked:
-            if not np.all(np.isfinite(X)):
-                raise ValueError("features must be finite")
+            step = max(1, CHECK_BLOCK_BYTES // max(X[0].nbytes, 1))
+            for start in range(0, X.shape[0], step):
+                if not np.isfinite(X[start : start + step]).all():
+                    raise ValueError("features must be finite")
             if y.min() < 0 or y.max() >= self.n_classes:
                 raise ValueError(f"labels must lie in [0, {self.n_classes})")
         X.setflags(write=False)

@@ -428,6 +428,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         "time_to_85_ms": time_to_accuracy(rows, 0.85),
         "time_to_90_ms": time_to_accuracy(rows, 0.90),
         "time_to_95_ms": time_to_accuracy(rows, 0.95),
+        # Accuracy is read only at evaluations, so each time_to_* is a
+        # multiple of this, or the time the run ended.
+        "time_to_resolution_ms": cfg.eval_interval_ms,
         "updates_to_85": updates_to_accuracy(rows, 0.85),
         "updates_to_90": updates_to_accuracy(rows, 0.90),
         "updates_to_95": updates_to_accuracy(rows, 0.95),

@@ -10,8 +10,10 @@ fused in-place kernel on a private copy; ``loss_and_grad``,
 Likewise ``predict_into`` writes ``predict``'s classes into reused buffers.
 Features may be float32: the reference functions widen the whole batch to
 float64, while ``local_training`` and ``predict_into`` widen only the rows
-in use into small float64 buffers.  Widening is exact, so both see the same
-float64 values.
+in use into small float64 buffers.  ``local_training`` gathers one shuffled
+copy of the shard per epoch in its own dtype (282 KB for a 90-row float32
+MNIST shard) and widens it a mini-batch at a time, so no float64 copy of a
+data set is made.  Widening is exact, so both see the same float64 values.
 """
 
 from __future__ import annotations
@@ -283,10 +285,12 @@ def local_training(
     float64 expressions as ``loss_and_grad`` and ``sgd_step``, in the same
     order, but updates views of one private copy of the parameters in place
     and skips the loss value.  ``m.params`` is never written.  ``X`` keeps
-    its dtype: each batch's rows are gathered from it and widened exactly
-    into one float64 buffer, so a float32 ``X`` trains to the same bytes as
-    its float64 copy, and only one batch is ever held in float64.  Inputs
-    are checked once, and finiteness once at the end.
+    its dtype: each epoch gathers its rows once, in shuffled order, and the
+    one-hot rows of their labels; each batch widens its contiguous slice of
+    the rows exactly into one float64 buffer and subtracts its slice of the
+    one-hot rows from the softmax.  So a float32 ``X`` trains to the same
+    bytes as its float64 copy, and only one batch is ever held in float64.
+    Inputs are checked once, and finiteness once at the end.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -297,23 +301,30 @@ def local_training(
     X = _check_batch(m, X, y, dtype=None)
     y = np.asarray(y)
     n = X.shape[0]
-    out = m.with_params(m.params.copy())
+    params = m.params.copy()
+    out = m.with_params(params)
+    # One batch's gradient, laid out as the parameters, so that one step
+    # updates every layer; reused, as are the batch rows widened to float64.
+    grad = np.empty_like(params)
     if m.kind == LOGREG:
         w1, b1 = _split_logreg(out)
+        gw1, gb1 = _split_logreg(out.with_params(grad))
     else:
         w1, b1, w2, b2 = _split_mlp(out)
-    # Reused buffers for the batch rows, widened to float64, and the first
-    # layer's weight gradient, the two large per-batch arrays.
-    rows = np.arange(min(batch_size, n))
-    xbuf = np.empty((rows.size, m.input_dim))
-    gw1 = np.empty_like(w1)
+        gw1, gb1, gw2, gb2 = _split_mlp(out.with_params(grad))
+    xbuf = np.empty((min(batch_size, n), m.input_dim))
+    eye = np.eye(m.n_classes)
     for _ in range(epochs):
         order = rng.permutation(n)
+        # The epoch's rows in shuffled order, in X's dtype, and the one-hot
+        # rows of their labels; each batch takes a contiguous slice of both.
+        Xo = X.take(order, axis=0)
+        onehot = eye.take(y.take(order), axis=0)
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            k = idx.size
+            stop = min(start + batch_size, n)
+            k = stop - start
             Xb = xbuf[:k]
-            np.copyto(Xb, np.take(X, idx, axis=0))
+            np.copyto(Xb, Xo[start:stop])
             h = Xb @ w1
             h += b1
             if m.kind == LOGREG:
@@ -326,27 +337,24 @@ def local_training(
             z -= z.max(axis=1, keepdims=True)
             np.exp(z, out=z)
             z /= z.sum(axis=1, keepdims=True)
-            z[rows[:k], y[idx]] -= 1.0
+            # Subtracting 0.0 leaves the other entries' bits as they are.
+            z -= onehot[start:stop]
             z /= k
             if m.kind == LOGREG:
                 dpre = z
             else:
-                gw2 = h.T @ z
-                gb2 = z.sum(axis=0)
+                np.matmul(h.T, z, out=gw2)
+                z.sum(axis=0, out=gb2)
                 dpre = h * h
                 np.subtract(1.0, dpre, out=dpre)
                 dpre *= z @ w2.T
-                _step(w2, gw2, lr)
-                _step(b2, gb2, lr)
-            _step(w1, np.matmul(Xb.T, dpre, out=gw1), lr)
-            _step(b1, dpre.sum(axis=0), lr)
+            np.matmul(Xb.T, dpre, out=gw1)
+            dpre.sum(axis=0, out=gb1)
+            # params - lr * grad, as sgd_step computes it, in place.
+            grad *= lr
+            params -= grad
     bad = first_non_finite(out.params)
     if bad is not None:
         raise NumericsError(f"local training left non-finite parameter {bad}", index=bad)
     return out
 
-
-def _step(v: np.ndarray, g: np.ndarray, lr: float) -> None:
-    """v -= lr * g in place, reusing g's buffer; the same values as sgd_step."""
-    g *= lr
-    v -= g

@@ -1,6 +1,7 @@
 """Dataset loading, synthesis, partitioning, evaluation."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,34 @@ def test_dataset_invariants():
         )
     with pytest.raises(ValueError):
         dt.Dataset(np.zeros((2, 3), dtype=np.float32), np.array([0, 5]), 2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_feature_is_found_in_any_check_block(bad):
+    # 784 float32 columns: a check block holds 334 rows, so 1000 rows make
+    # three blocks and a ragged fourth.
+    X = np.zeros((1000, 784), dtype=np.float32)
+    y = np.zeros(1000, dtype=np.int64)
+    step = dt.CHECK_BLOCK_BYTES // X[0].nbytes
+    assert 0 < step < 1000 // 2
+    dt.Dataset(X.copy(), y.copy(), 2)
+    for row, col in ((0, 0), (999, 783), (step - 1, 783), (step, 0), (2 * step, 5)):
+        Xb = X.copy()
+        Xb[row, col] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            dt.Dataset(Xb, y.copy(), 2)
+
+
+def test_the_finiteness_check_holds_no_mask_as_large_as_the_features():
+    tracemalloc.start()
+    try:
+        X = np.zeros((12_000, 784), dtype=np.float32)
+        ds = dt.Dataset(X, np.zeros(12_000, dtype=np.int64), 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.features is X
+    assert peak <= X.nbytes + 2 * 2**20
 
 
 def test_subset_keeps_the_parents_bytes_without_rescanning(monkeypatch):

@@ -264,6 +264,30 @@ def test_schedule_does_not_depend_on_model_values(monkeypatch, preset, algorithm
     assert schedule(untrained) == schedule(trained)
 
 
+@pytest.mark.parametrize(
+    "preset, overrides",
+    [
+        ("desk-synth", {"horizon_ms": 6000.0, "eval_interval_ms": 400.0}),
+        ("desk-mnist", {"n_samples": 3000, "horizon_ms": 1000.0, "eval_interval_ms": 300.0}),
+    ],
+)
+def test_summary_states_the_resolution_of_its_times_to_accuracy(tmp_path, preset, overrides):
+    """Accuracy is read only at evaluations, so every time_to_* is a
+    multiple of the evaluation interval; the summary says so, with or
+    without a mark."""
+    cfg = from_dict({"preset": preset, "seed": 3, **overrides})
+    run_experiment(cfg, str(tmp_path))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    step = summary["time_to_resolution_ms"]
+    assert step == cfg.eval_interval_ms
+    marks = [summary[f"time_to_{p}_ms"] for p in (85, 90, 95)]
+    assert None in marks
+    for t in marks:
+        assert t is None or t % step == 0 or t == summary["sim_time_ms"]
+    with open(tmp_path / "timeseries.csv", newline="") as f:
+        assert "time_to_resolution_ms" not in next(csv.reader(f))
+
+
 # -- dataset plumbing ---------------------------------------------------------
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spykersim import models
@@ -235,6 +235,42 @@ class TestFusedKernel:
         out = local_training(m, X, y, 0.3, epochs, batch_size, np.random.default_rng(5))
         ref = fold_of_reference_steps(m, X, y, 0.3, epochs, batch_size, np.random.default_rng(5))
         assert out.params.tobytes() == ref.params.tobytes()
+
+    @given(
+        mlp=st.booleans(),
+        input_dim=st.integers(1, 12),
+        n_classes=st.integers(2, 10),
+        hidden_dim=st.integers(1, 8),
+        n=st.integers(1, 130),
+        batch_size=st.integers(1, 70),
+        epochs=st.integers(1, 3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # The benchmark workloads' shapes: synthetic shards of about 75 rows at
+    # batch 32 and of about 37 at batch 64, and MNIST shards of 90 rows.
+    @example(mlp=False, input_dim=256, n_classes=10, hidden_dim=1, n=75, batch_size=32,
+             epochs=1, dtype=np.float32, seed=1)
+    @example(mlp=False, input_dim=256, n_classes=10, hidden_dim=1, n=37, batch_size=64,
+             epochs=1, dtype=np.float32, seed=2)
+    @example(mlp=True, input_dim=784, n_classes=10, hidden_dim=64, n=90, batch_size=32,
+             epochs=1, dtype=np.float32, seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_any_shape_equals_the_reference_fold(
+        self, mlp, input_dim, n_classes, hidden_dim, n, batch_size, epochs, dtype, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if mlp:
+            m = make_mlp(rng, input_dim, n_classes, hidden_dim)
+        else:
+            m = make_logreg(rng, input_dim, n_classes)
+        X = rng.normal(size=(n, input_dim)).astype(dtype)
+        y = rng.integers(0, n_classes, size=n)
+        before = (X.tobytes(), y.tobytes(), m.params.tobytes())
+        out = local_training(m, X, y, 0.3, epochs, batch_size, np.random.default_rng(seed))
+        ref = fold_of_reference_steps(m, X, y, 0.3, epochs, batch_size, np.random.default_rng(seed))
+        assert out.params.tobytes() == ref.params.tobytes()
+        assert (X.tobytes(), y.tobytes(), m.params.tobytes()) == before
 
     @pytest.mark.parametrize("maker", [make_logreg, make_mlp])
     def test_input_params_untouched_and_not_shared(self, maker):

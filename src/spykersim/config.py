@@ -132,6 +132,14 @@ class ExperimentConfig:
             raise ConfigError(f"model_kind must be {LOGREG!r} or {MLP!r}")
         if self.model_kind == MLP and self.hidden_dim < 1:
             raise ConfigError("hidden_dim must be >= 1 for the mlp model")
+        if self.n_samples < 1:
+            raise ConfigError("n_samples must be >= 1")
+        if self.input_dim < 1:
+            raise ConfigError("input_dim must be >= 1")
+        if self.n_classes < 2:
+            raise ConfigError("n_classes must be >= 2")
+        if not self.separation > 0:
+            raise ConfigError("separation must be > 0")
         if not 0 < self.test_fraction < 1:
             raise ConfigError("test_fraction must be in (0, 1)")
         if self.eval_interval_ms <= 0:
@@ -149,6 +157,7 @@ class ExperimentConfig:
         if not 0 < self.selection_fraction <= 1:
             raise ConfigError("selection_fraction must be in (0, 1]")
         self.hyper.validate()
+        self.compute.validate()
         most = max(counts)
         if (
             self.algorithm in SPYKER_MERGE

@@ -200,7 +200,9 @@ class TrainingClient(Node):
                 f"client {self.node_id} contacted by non-home server {src}"
             )
         if type(msg) is not ModelDispatch:
-            raise ProtocolViolation(f"client cannot handle {type(msg).__name__}")
+            raise ProtocolViolation(
+                f"client {self.node_id} cannot handle {type(msg).__name__} from server {src}"
+            )
         dispatch = self._round
         self._round += 1
         params = msg.params

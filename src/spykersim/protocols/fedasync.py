@@ -57,9 +57,13 @@ class FedAsyncServer(Node):
 
     def handle(self, sim: Simulator, src: int, msg) -> None:
         if type(msg) is not ClientUpdate:
-            raise ProtocolViolation(f"server cannot handle {type(msg).__name__}")
+            raise ProtocolViolation(
+                f"server {self.node_id} cannot handle {type(msg).__name__} from node {src}"
+            )
         if src not in self.u:
-            raise ProtocolViolation(f"update from unknown client {src}")
+            raise ProtocolViolation(
+                f"server {self.node_id} got an update from unknown client {src}"
+            )
         tau = float(self.version - self._version_sent[src])
         d_k = self.data_sizes[src]
         merged = require_finite(

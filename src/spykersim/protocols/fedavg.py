@@ -78,9 +78,14 @@ class FedAvgServer(Node):
             self._on_other(sim, src, msg)
             return
         if src not in self.u:
-            raise ProtocolViolation(f"update from unknown client {src}")
+            raise ProtocolViolation(
+                f"server {self.node_id} got an update from unknown client {src}"
+            )
         if src in self._pending:
-            raise ProtocolViolation(f"duplicate update from client {src} in round {self.round}")
+            raise ProtocolViolation(
+                f"server {self.node_id} got a duplicate update from client {src} "
+                f"in round {self.round}"
+            )
         self._pending[src] = msg.params
         self.u[src] += 1
         if len(self._pending) == len(self._selected):
@@ -103,7 +108,9 @@ class FedAvgServer(Node):
         self._dispatch_round(sim)
 
     def _on_other(self, sim: Simulator, src: int, msg) -> None:
-        raise ProtocolViolation(f"server cannot handle {type(msg).__name__}")
+        raise ProtocolViolation(
+            f"server {self.node_id} cannot handle {type(msg).__name__} from node {src}"
+        )
 
 
 def averaged_into_non_finite(what: str, kind: str, sources: list[int], updates) -> str:

@@ -46,7 +46,9 @@ class HierEdgeServer(FedAvgServer):
 
     def _on_other(self, sim: Simulator, src: int, msg) -> None:
         if type(msg) is not CloudModel:
-            raise ProtocolViolation(f"edge server cannot handle {type(msg).__name__}")
+            raise ProtocolViolation(
+                f"edge server {self.node_id} cannot handle {type(msg).__name__} from node {src}"
+            )
         self.model = self.model.with_params(msg.params)
         self._dispatch_round(sim)
 
@@ -70,9 +72,11 @@ class HierCloud(Node):
 
     def handle(self, sim: Simulator, src: int, msg) -> None:
         if type(msg) is not EdgeReport:
-            raise ProtocolViolation(f"cloud cannot handle {type(msg).__name__}")
+            raise ProtocolViolation(
+                f"cloud {self.node_id} cannot handle {type(msg).__name__} from node {src}"
+            )
         if src not in self.edge_ids:
-            raise ProtocolViolation(f"report from unknown edge {src}")
+            raise ProtocolViolation(f"cloud {self.node_id} got a report from unknown edge {src}")
         self._reports[src] = (msg.params, msg.weight)
         if len(self._reports) == len(self.edge_ids):
             updates = [self._reports[eid] for eid in self.edge_ids]

@@ -151,7 +151,9 @@ class SpykerServer(SpykerBase):
         elif t is TokenPass:
             self._on_token(sim, msg)
         else:
-            raise ProtocolViolation(f"server cannot handle {type(msg).__name__}")
+            raise ProtocolViolation(
+                f"server {self.node_id} cannot handle {type(msg).__name__} from node {src}"
+            )
 
     # -- state transitions ---------------------------------------------------
 

@@ -76,7 +76,9 @@ class SyncSpykerServer(SpykerBase):
         elif t is ModelBroadcast:
             self._on_peer_model(sim, src, msg)
         else:
-            raise ProtocolViolation(f"server cannot handle {type(msg).__name__}")
+            raise ProtocolViolation(
+                f"server {self.node_id} cannot handle {type(msg).__name__} from node {src}"
+            )
 
     # -- state transitions ---------------------------------------------------
 

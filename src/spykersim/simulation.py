@@ -94,6 +94,16 @@ class ComputeProfile:
     agg_fast_ms: float = 2.0
     agg_slow_ms: float = 15.0
 
+    def validate(self) -> None:
+        # Written so that NaN fails too: a non-positive mean with no spread
+        # never draws a positive delay, and a negative delay runs the
+        # clock backwards.
+        if not self.training_mean_ms > 0:
+            raise ConfigError("compute.training_mean_ms must be > 0")
+        for name in ("training_std_ms", "agg_fast_ms", "agg_slow_ms"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"compute.{name} must be >= 0")
+
     def sample_training_ms(self, rng: np.random.Generator) -> float:
         # Resample until positive rather than truncating at zero.
         while True:

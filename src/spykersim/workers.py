@@ -5,30 +5,27 @@ which ``_start_worker`` alone chooses: it gives every client its
 ``trainer``, called when the client's simulated training starts;
 ``score(fill)`` scores an evaluation, whose ``fill(buf)`` writes the
 eval model's parameters into a buffer of the worker's; and ``close()``
-stops it.  The run's ``_Evaluator`` passes each new eval model to
-``score``.  Work leaves the loop only when a second CPU can take it.
-With one usable CPU, a run of either model kind trains and scores on the
-loop (``_OnLoop``): its clients keep ``train_inline``, and no thread or
-process starts.  Otherwise an MLP training, mostly BLAS calls that
-release the interpreter lock, runs on one thread and each scoring on
-another (``_Threads``).  A logistic-regression training is mostly
-Python, which a thread would run under the loop's lock, so it goes to
-one forked process (``TrainingProcess``), which scores the run's
-evaluations too.  Where ``os.fork`` is missing or another thread runs,
-that run stays on the loop as well: a fork copies only the calling
-thread, so a lock another thread holds would stay locked in the child.
-A thread or process runs a whole training delay ahead of the loop.  The
-worker starts before any run thread, so the fork comes after the build,
-and the child holds the run's clients, shards, seeds, test set, scoring
-buffers and BLAS pin (and any monkeypatch) as they are.  A reader runs a
-job the worker has not started, so a server never waits behind trainings
-that are not due yet.  Worker threads read only arrays that no one
-writes, each buffer is written by one thread only, the process runs the
-same training and scoring on the same inputs as the loop, and the loop
-waits wherever it needs a result, so every artifact is the same as with
-all work on one thread.  On every exit the worker stops, dropping each
-client's posted training (one cut short by a target stop or an error),
-and every client gets ``train_inline`` back.
+stops it.  A run starts at most one helper, and only when a second CPU
+can take it.  An MLP training, mostly BLAS calls that release the
+interpreter lock, runs on one thread (``_TrainingThread``).  A
+logistic-regression training is mostly Python, which a thread would run
+under the loop's lock, so it goes to one forked process
+(``TrainingProcess``), which scores the run's evaluations too.  All other
+work runs on the loop (``_OnLoop``), so only the loop writes ``fill``'s
+buffer, the evaluator's stack and the scorer's buffers.  That includes
+every run with one usable CPU, and a logistic-regression run that cannot
+fork safely (no ``os.fork``, or another thread runs: a fork copies only
+the calling thread, so a lock that thread holds would stay locked in the
+child).  The worker starts before any run thread, so the child is forked
+from the built run as it is: clients, shards, seeds, scorer, BLAS pin and
+any monkeypatch.  A helper runs a whole training delay ahead of the loop;
+a reader runs a job the helper has not started, so a server never waits
+behind trainings that are not due yet.  The thread reads only arrays that
+no one writes, the process runs the same jobs on the same inputs as the
+loop, and the loop waits wherever it needs a result, so every artifact is
+the same as with all work on one thread.  On every exit the worker stops,
+dropping each client's posted training, and every client gets
+``train_inline`` back.
 
 In the process, each client owns one slot of an anonymous shared
 ``mmap``: the dispatched parameters, which the child overwrites with the
@@ -108,13 +105,13 @@ def run_workers(built: BuiltExperiment) -> Iterator[_Evaluator]:
             client.trainer, client.training = train_inline, None
 
 
-def _start_worker(built: BuiltExperiment) -> _OnLoop | _Threads | TrainingProcess:
+def _start_worker(built: BuiltExperiment) -> _OnLoop | _TrainingThread | TrainingProcess:
     """Start the run's worker, which gives every client its trainer.  Work
     leaves the loop only when a second CPU can take it."""
     if _usable_cpus() < 2:
         return _OnLoop(built)
     if built.template.kind == MLP:
-        return _Threads(built)
+        return _TrainingThread(built)
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return _OnLoop(built)
     proc = TrainingProcess(built.clients, _Scorer(built))
@@ -133,38 +130,26 @@ class _OnLoop:
 
     def score(self, fill: Callable[[np.ndarray], np.ndarray]) -> Future:
         scored = Future()
-        scored.set_result(self._score(fill))
+        scored.set_result(self._scorer(fill(self._buf)))
         return scored
-
-    def _score(self, fill: Callable[[np.ndarray], np.ndarray]) -> tuple[float, bytes]:
-        return self._scorer(fill(self._buf))
 
     def close(self) -> None:
         pass
 
 
-class _Threads(_OnLoop):
+class _TrainingThread(_OnLoop):
     """A run's training thread, to which every client posts its trainings as
-    ``_Training`` jobs, and its scoring thread.
-
-    ``score(fill)`` posts ``fill(buf)`` and the scoring of ``buf`` to the
-    scoring thread, the only one that writes ``buf``.  ``close()`` stops the
-    scoring thread, then the training thread, dropping every job that has
-    not started."""
+    ``_Training`` jobs; evaluations are scored on the loop.  ``close()``
+    stops the thread, dropping every job that has not started."""
 
     def __init__(self, built: BuiltExperiment):
         super().__init__(built)
-        self._eval = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-eval")
-        self._train = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-train")
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spykersim-train")
         for client in built.clients:
-            client.trainer = partial(_Training, self._train)
-
-    def score(self, fill: Callable[[np.ndarray], np.ndarray]) -> Future:
-        return self._eval.submit(self._score, fill)
+            client.trainer = partial(_Training, self._pool)
 
     def close(self) -> None:
-        for pool in (self._eval, self._train):
-            pool.shutdown(wait=True, cancel_futures=True)
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 class _Training:
@@ -239,13 +224,11 @@ class _Evaluator:
     cloud parameters, or every spyker server's parameters and age.  Servers
     replace their parameter arrays and never write them, so a snapshot with
     the same arrays and ages scores the same model, and the previous
-    result is reused.  Otherwise ``score(fill)`` hands the model to the
-    run's worker, which scores it at the call on the loop or posts it to
-    its thread or process; there ``fill(buf)`` builds it with the float64
-    operations of ``BuiltExperiment.eval_model``, in the same order, and a
-    ``_Scorer`` scores it.  A call returns the (accuracy, digest), finished
-    or pending, behind a ``result()`` method; calls on an unchanged
-    snapshot share one.
+    result is reused.  Otherwise ``score(fill)`` scores the model on the
+    loop, or posts it to the run's forked process; ``fill(buf)`` builds it
+    with the float64 operations of ``BuiltExperiment.eval_model``, in the
+    same order, and a ``_Scorer`` scores it.  A call returns the
+    (accuracy, digest), finished or pending, behind a ``result()`` method.
     """
 
     def __init__(self, built: BuiltExperiment, score: Callable[[Callable], object]):

@@ -1,14 +1,17 @@
 """Round semantics, staleness accounting, and hierarchy behavior of the baselines."""
 
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from spykersim.aggregation import fedasync_merge, fedavg_aggregate
+from spykersim.config import SINGLE_SERVER, from_dict
 from spykersim.data import PartitionSpec, evaluate, partition_noniid, synthetic_dataset, train_test_split
 from spykersim.errors import NumericsError, ProtocolViolation
-from spykersim.messages import ClientUpdate, EdgeReport, ModelDispatch, payload_bytes
+from spykersim.experiment import build_experiment
+from spykersim.messages import AgeBroadcast, ClientUpdate, EdgeReport, ModelDispatch, payload_bytes
 from spykersim.models import LOGREG, init_model, local_training
 from spykersim.protocols import FedAsyncServer, FedAvgServer, HierCloud, HierEdgeServer, TrainingClient
 from spykersim.simulation import (
@@ -410,3 +413,63 @@ def test_hier_learns():
     sim.run(horizon_ms=25_000)
     assert cloud.cloud_rounds >= 3
     assert evaluate(cloud.model, test) > 0.8
+
+
+def _built(algorithm):
+    return build_experiment(from_dict({
+        "preset": "desk-synth", "algorithm": algorithm,
+        "n_servers": 1 if algorithm in SINGLE_SERVER else 4, "n_clients": 8,
+        "n_samples": 400, "input_dim": 6, "horizon_ms": 1500.0,
+    }))
+
+
+def _update(built):
+    return ClientUpdate(built.template.params.copy(), 0.0)
+
+
+def _report(built):
+    return EdgeReport(built.template.params.copy(), 1)
+
+
+UNKNOWN = 97
+# (algorithm, the node, the message, its sender, the violation): every
+# unexpected message type, and the unknown-sender and duplicate paths.
+VIOLATIONS = {
+    "spyker-type": ("spyker", "server", _report, UNKNOWN, "cannot handle EdgeReport"),
+    "sync-spyker-type": ("sync-spyker", "server", _report, UNKNOWN, "cannot handle EdgeReport"),
+    "fedavg-type": ("fedavg", "server", _report, UNKNOWN, "cannot handle EdgeReport"),
+    "fedasync-type": ("fedasync", "server", _report, UNKNOWN, "cannot handle EdgeReport"),
+    "edge-type": ("hierfavg", "server", _report, UNKNOWN, "cannot handle EdgeReport"),
+    "cloud-type": ("hierfavg", "cloud", lambda b: AgeBroadcast(1.0), UNKNOWN, "cannot handle AgeBroadcast"),
+    "client-type": ("spyker", "client", _report, "home", "cannot handle EdgeReport"),
+    "spyker-unknown": ("spyker", "server", _update, UNKNOWN, "unknown client"),
+    "sync-spyker-unknown": ("sync-spyker", "server", _update, UNKNOWN, "unknown client"),
+    "fedavg-unknown": ("fedavg", "server", _update, UNKNOWN, "unknown client"),
+    "fedasync-unknown": ("fedasync", "server", _update, UNKNOWN, "unknown client"),
+    "edge-unknown": ("hierfavg", "server", _update, UNKNOWN, "unknown client"),
+    "cloud-unknown-edge": ("hierfavg", "cloud", _report, UNKNOWN, "unknown edge"),
+    "fedavg-duplicate": ("fedavg", "server", _update, "client", "duplicate update"),
+    "edge-duplicate": ("hierfavg", "server", _update, "client", "duplicate update"),
+}
+
+
+@pytest.mark.parametrize("case", list(VIOLATIONS))
+def test_every_protocol_violation_names_its_node_and_sender(case):
+    algorithm, role, make_msg, sender, what = VIOLATIONS[case]
+    built = _built(algorithm)
+    node = {"server": built.servers[0], "cloud": built.cloud, "client": built.clients[0]}[role]
+    if sender == "home":
+        src = node.home_server
+    elif sender == "client":
+        src = min(node.u)
+        node.handle(built.sim, src, make_msg(built))
+    else:
+        src = sender
+    with pytest.raises(ProtocolViolation, match=what) as err:
+        if role == "client":
+            node.service_ms(built.sim, make_msg(built), src)
+        else:
+            node.handle(built.sim, src, make_msg(built))
+    text = str(err.value)
+    assert re.search(rf"\b(server|cloud|client) {node.node_id}\b", text)
+    assert re.search(rf"\b{src}\b", text)

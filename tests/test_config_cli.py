@@ -92,6 +92,17 @@ def test_validation_rules():
         {"bandwidth_bps": "e8"},
         {"bandwidth_bps": "inf"},
         {"n_clients": "1e2"},
+        # A run that would hang or run its clock backwards.
+        {"input_dim": 0},
+        {"compute": {"training_mean_ms": -1.0, "training_std_ms": 0.0}},
+        {"compute": {"training_mean_ms": 0.0}},
+        {"compute": {"training_std_ms": -1.0}},
+        {"compute": {"agg_fast_ms": -5.0}},
+        {"compute": {"agg_slow_ms": -1.0}},
+        {"compute": {"agg_fast_ms": float("nan")}},
+        {"n_classes": 1},
+        {"separation": 0.0},
+        {"n_samples": 0},
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
@@ -236,6 +247,10 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                  "--override", "hyper.eta_server=5.0"]) == 1
     for bad in ("preset=nonexistent", "n_clients=abc", "hyper={eta_init: 0.1}"):
         assert main(["run", "--out-dir", str(tmp_path / "r"), *TINY, "--override", bad]) == 1
+    # Each of these would hang the run, so it is refused before the build.
+    for bad in ("input_dim=0", "compute.training_mean_ms=-1.0"):
+        assert main(["run", "--out-dir", str(tmp_path / "r"), *TINY, "--override", bad,
+                     "--override", "compute.training_std_ms=0.0"]) == 1
     assert main(["run", "--out-dir", str(tmp_path / "r"), *TINY, "--seeds", "0"]) == 1
     err = capsys.readouterr().err
     assert "preset" in err and "n_clients" in err and "hyper.<field>" in err

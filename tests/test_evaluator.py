@@ -1,5 +1,5 @@
-"""The run's evaluator: scoring on the loop, on a worker thread or in the
-forked training process, skipped repeats, BLAS pinning, and parameters that
+"""The run's evaluator: scoring on the loop or in the forked training
+process, skipped repeats, BLAS pinning, and parameters that
 repeat across processes and BLAS thread settings."""
 
 import hashlib
@@ -332,7 +332,7 @@ DESK_RUNS = {
 @pytest.mark.parametrize(
     "kind, threads",
     [
-        ("thread", ["spykersim-eval_0", "spykersim-train_0"]),
+        ("thread", ["spykersim-train_0"]),
         pytest.param("process", [], marks=forking),
         ("inline", []),
         ("inline-desk-mnist", []),
@@ -356,6 +356,24 @@ def test_each_worker_starts_its_threads_and_stops_them(
     assert len(forks) == (kind == "process")
     assert threading.active_count() == before
     assert_reaped(forks)
+
+
+def test_mlp_runs_on_two_cpus_score_on_the_calling_thread(monkeypatch, forks, started_threads):
+    """An MLP run trains on its one thread and scores every evaluation on
+    the loop."""
+    loop = threading.get_ident()
+    scored_on = []
+    forward = workers.predict_into
+
+    def recorded(*args):
+        scored_on.append(threading.get_ident())
+        return forward(*args)
+
+    monkeypatch.setattr(workers, "predict_into", recorded)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    got = run_experiment(from_dict(DESK_RUNS["desk-mnist"]))
+    assert started_threads == ["spykersim-train_0"] and not forks
+    assert len(got.rows) > 1 and scored_on and set(scored_on) == {loop}
 
 
 def test_main_thread_error_stops_the_worker(monkeypatch):

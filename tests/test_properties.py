@@ -188,7 +188,7 @@ def forked(built):
 # training thread, and all work on the loop.
 TRAINER_PATHS = {
     "fork": forked,
-    "thread": workers._Threads,
+    "thread": workers._TrainingThread,
     "inline": workers._OnLoop,
 }
 
